@@ -1,6 +1,7 @@
 .PHONY: all test test-parallel test-rewrite fault-test differential fuzz-smoke \
         fuzz-soak fuzz-self-test fuzz-self-test-rewrite bench bench-quick \
-        bench-throughput bench-exec bench-optimizer storage-gate examples trace-demo clean
+        bench-throughput bench-exec bench-optimizer storage-gate cli-errors examples \
+        trace-demo clean
 
 all:
 	dune build @all
@@ -90,6 +91,20 @@ storage-gate:
 	bash -c 'ulimit -v 2097152; \
 	  ./_build/default/bin/robustopt.exe bench-exec --small \
 	    --buffer-pool-pages 256 --out -' > /dev/null
+
+# User SQL errors are reported, not crashed on: an overflowing integer
+# literal and an unknown column must each exit 1 with no "internal error"
+# in the output.
+cli-errors:
+	dune build bin/robustopt.exe
+	@for q in "SELECT COUNT(*) FROM lineitem WHERE l_quantity = 99999999999999999999999" \
+	          "SELECT COUNT(*) FROM lineitem WHERE nosuchcol = 1"; do \
+	  out=$$(./_build/default/bin/robustopt.exe run "$$q" 2>&1); code=$$?; \
+	  if [ $$code -ne 1 ] || echo "$$out" | grep -q "internal error"; then \
+	    echo "cli-errors: exit $$code for: $$q"; echo "$$out"; exit 1; \
+	  fi; \
+	  echo "cli-errors: ok: $$out"; \
+	done
 
 examples:
 	dune exec examples/quickstart.exe

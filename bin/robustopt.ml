@@ -48,7 +48,10 @@ let make_optimizer ~estimator ~confidence ~scale stats =
 let compile_sql catalog sql =
   match Rq_sql.Binder.compile catalog sql with
   | Ok bound -> bound
-  | Error msg -> failwith ("SQL error: " ^ msg)
+  | Error msg ->
+      (* Bad SQL is user input, not an internal fault: report it and exit 1. *)
+      prerr_endline ("robustopt: SQL error: " ^ msg);
+      exit 1
 
 let resolve_confidence ~confidence ~hint =
   match hint with
@@ -731,15 +734,7 @@ let bench_exec_cmd =
                down to whole chunks).  Capping well below the data size \
                exercises out-of-core execution.")
   in
-  let vectorize_arg =
-    Arg.(value & opt (enum [ ("on", true); ("off", false) ]) true
-         & info [ "vectorize" ] ~docv:"on|off"
-         ~doc:"Data plane of the streaming engine outside the vectorized \
-               comparison section (which always runs both planes): \
-               column-major vector batches with selection bitsets (on, the \
-               default) or row-at-a-time tuple batches (off).")
-  in
-  let run small seed domains scale pool_pages vectorize out =
+  let run small seed domains scale pool_pages out =
     let module E = Rq_experiments in
     let config = if small then E.Exp_exec.small_config else E.Exp_exec.default_config in
     let config =
@@ -766,8 +761,7 @@ let bench_exec_cmd =
       | Some buffer_pool_pages -> { config with E.Exp_exec.buffer_pool_pages }
     in
     let result =
-      with_bench_errors (fun () ->
-          Rq_exec.Vectorize.with_vectorize vectorize (fun () -> E.Exp_exec.run ~config ()))
+      with_bench_errors (fun () -> E.Exp_exec.run ~config ())
     in
     print_string (E.Exp_exec.render result);
     if out <> "-" then begin
@@ -781,15 +775,13 @@ let bench_exec_cmd =
   in
   let term =
     Term.(
-      const run $ small_arg $ seed_arg $ domains_arg $ scale_arg $ pool_arg
-      $ vectorize_arg $ out_arg)
+      const run $ small_arg $ seed_arg $ domains_arg $ scale_arg $ pool_arg $ out_arg)
   in
   Cmd.v
     (Cmd.info "bench-exec"
        ~doc:"Streaming vs. materialized executor: early-exit page savings on LIMIT and \
              mid-stream guard workloads, exact counter parity on full drains, real \
-             runtime/memory per engine, the morsel-parallel domains axis, and the \
-             vectorized-vs-row data plane comparison.")
+             runtime/memory per engine and the morsel-parallel domains axis.")
     term
 
 (* ---------------- bench-optimizer ---------------- *)

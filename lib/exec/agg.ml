@@ -107,8 +107,8 @@ let feed t tuples = Array.iter (feed_tuple t) tuples
 
 (* Columnar feed: same key construction and same match arms as [feed_tuple],
    visiting selected rows in ascending order — so the key-insertion sequence
-   into [groups], and hence the final fold order, is identical to the row
-   plane's. *)
+   into [groups], and hence the final fold order, is identical to the
+   materialized engine's tuple feed. *)
 let feed_cols t cols sel =
   Bitset.iter_set
     (fun r ->

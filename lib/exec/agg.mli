@@ -18,10 +18,10 @@ val create : Schema.t -> group_by:string list -> aggs:Plan.agg list -> t
 val feed : t -> Relation.tuple array -> unit
 
 val feed_cols : t -> Value.t array array -> Bitset.t -> unit
-(** Columnar feed for the vectorized plane: visits the selected rows of the
+(** Columnar feed for the streaming engine: visits the selected rows of the
     batch's column arrays in ascending order, building the same keys and
-    applying the same accumulator updates as {!feed} — so mixing planes
-    still yields byte-identical finalize order. *)
+    applying the same accumulator updates as {!feed} — so both engines
+    yield byte-identical finalize order. *)
 
 val finalize : t -> Relation.tuple list
 (** Output rows (group key columns then aggregate columns), in the group

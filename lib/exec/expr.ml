@@ -85,7 +85,7 @@ let eval schema expr tuple = compile schema expr tuple
 
 (* Columnar compilation: the same tree, but evaluated against a batch's
    column arrays at a physical row index — no tuple is materialized.  Kept
-   structurally parallel to [compile] so both planes compute bit-identical
+   structurally parallel to [compile] so both engines compute bit-identical
    values (same operations in the same order). *)
 type compiled_cols = Value.t array array -> int -> Value.t
 

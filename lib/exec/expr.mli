@@ -43,7 +43,7 @@ type compiled_cols = Value.t array array -> int -> Value.t
     without materializing a tuple. *)
 
 val compile_cols : Schema.t -> t -> compiled_cols
-(** Same operations in the same order as {!compile}, so both planes compute
+(** Same operations in the same order as {!compile}, so both engines compute
     bit-identical values. *)
 
 val render : t -> string

@@ -1,12 +1,12 @@
 (* The streaming operator protocol.
 
    An operator is opened by compiling it (constructor state is its "open");
-   [next_batch] returns [Some batch] with at least one row, or [None] once
-   drained — there are no empty batches, so consumers never spin.  Batches
-   are plain tuple arrays the consumer may keep (producers never reuse
-   buffers).  [close] releases operator state early (early exit under
-   LIMIT); it is idempotent and calling [next_batch] after [close] is
-   undefined.
+   [next_batch] returns [Some batch] or [None] once drained.  Batches are
+   column-major {!Vbatch.t}s whose selection bitset is never empty — there
+   are no empty batches, so consumers never spin.  Consumers may keep
+   batches; producers never mutate emitted columns.  [close] releases
+   operator state early (early exit under LIMIT); it is idempotent and
+   calling [next_batch] after [close] is undefined.
 
    [progress] and [resume] exist for mid-stream guard recovery: [progress]
    approximates the fraction of the operator's input already consumed (the
@@ -16,11 +16,9 @@
 
 open Rq_storage
 
-type batch = Relation.tuple array
-
 type t = {
   schema : Schema.t;
-  next_batch : unit -> batch option;
+  next_batch : unit -> Vbatch.t option;
   close : unit -> unit;
   progress : unit -> float;
   resume : unit -> Plan.t option;
@@ -38,26 +36,3 @@ let make ?close ?progress ?resume ~schema next_batch =
     progress = Option.value progress ~default:(fun () -> 0.0);
     resume = Option.value resume ~default:no_resume;
   }
-
-(* The vectorized twin of the protocol: identical contract, but batches are
-   column-major {!Vbatch.t}s whose selection bitset is never empty (the
-   no-empty-batches invariant, stated over logical rows).  Consumers may
-   keep batches; producers never mutate emitted columns. *)
-module Vec = struct
-  type t = {
-    schema : Schema.t;
-    next_batch : unit -> Vbatch.t option;
-    close : unit -> unit;
-    progress : unit -> float;
-    resume : unit -> Plan.t option;
-  }
-
-  let make ?close ?progress ?resume ~schema next_batch =
-    {
-      schema;
-      next_batch;
-      close = Option.value close ~default:(fun () -> ());
-      progress = Option.value progress ~default:(fun () -> 0.0);
-      resume = Option.value resume ~default:no_resume;
-    }
-end

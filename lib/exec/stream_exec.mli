@@ -8,17 +8,15 @@
     full drain every {!Cost} counter lands exactly where the materialized
     engine puts it.
 
-    Two data planes share this operator protocol.  When {!Vectorize.enabled}
-    is set (the default), plans compile to {!Stream.Vec.t} operators carrying
-    column-major {!Vbatch.t}s — scans hand out chunk column slices zero-copy
-    with the predicate bitmap as initial selection, filters AND bitsets,
-    expressions/joins/aggregates run per-column loops over selected indices,
-    and tuples materialize only at breaker boundaries and final output.  The
-    vectorized scan slices rows into exactly the row plane's
-    (chunk ∩ [batch_rows] window) batches and every vectorized operator
-    charges the same counters the same logical-row amounts at the same pull
-    points, so counters, guard fire points, span row counts and resume
-    positions are identical between planes. *)
+    Operators exchange column-major {!Vbatch.t}s: scans hand out chunk
+    column slices zero-copy with the predicate bitmap as initial selection,
+    filters AND bitsets, projections drop column references, hash joins and
+    aggregates run per-column loops over selected indices, and tuples
+    materialize only where an operator needs whole rows (breaker inputs,
+    index heap fetches, the indexed-NL outer side) and at final output.
+    Every charge is denominated in logical (selected) rows, so the
+    counters, guard fire points, span row counts and resume positions do
+    not depend on the representation. *)
 
 open Rq_storage
 

@@ -1,5 +1,5 @@
 (** Column-major vector batches with selection bitsets — the data unit of
-    the vectorized streaming plane ({!Vectorize}).
+    the streaming engine ({!Stream_exec}).
 
     A batch's logical content is its selected rows in ascending physical
     order.  Column arrays are shared and never mutated: scan batches alias
@@ -28,8 +28,9 @@ val chunk_view : t -> Chunk.t
     kernels evaluate predicate atoms on any batch. *)
 
 val of_tuples : Relation.tuple array -> t
-(** Transpose a non-empty row batch; full selection.  How row-plane
-    operators' outputs re-enter the vectorized plane. *)
+(** Transpose a non-empty row batch; full selection.  How operators that
+    build whole tuples (index fetches, merge/indexed-NL/star joins, sort,
+    aggregate output) emit batches. *)
 
 val to_tuples : t -> Relation.tuple array
 (** Materialize the selected rows as fresh tuples, ascending — the late

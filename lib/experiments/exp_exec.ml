@@ -19,8 +19,6 @@ type config = {
   repetitions : int;
   domains : int;              (* top of the morsel-parallel domains axis *)
   min_scan_speedup : float;   (* gate: simulated scan-morsel speedup at [domains] *)
-  min_vec_speedup : float;    (* gate: vectorized wall-clock speedup over the
-                                 row plane on the gated vectorized workloads *)
   buffer_pool_pages : int;    (* global pool capacity in 8 KiB pages; 0 keeps
                                  the process default *)
   exact_compare : bool;       (* compare parallel arms against the serial
@@ -37,7 +35,6 @@ let default_config =
     repetitions = 5;
     domains = 4;
     min_scan_speedup = 2.5;
-    min_vec_speedup = 1.5;
     buffer_pool_pages = 0;
     exact_compare = true;
   }
@@ -226,36 +223,10 @@ type parallel_check = {
   p_ok : bool;
 }
 
-(* Vectorized-vs-row data plane.  Both arms are the same streaming engine —
-   only the data plane differs ({!Vectorize.enabled} on vs. off) — so cost
-   counters must be byte-identical and the result multisets equal; the
-   gated workloads must additionally show a real wall-clock win (median of
-   repetitions, which a single outlier repetition cannot tilt). *)
-
-type vec_arm = {
-  v_snapshot : Cost.snapshot;
-  v_rows : int;
-  v_wall_ms : float;      (* median wall-clock per run *)
-  v_allocated_mb : float; (* mean bytes allocated per run *)
-}
-
-type vec_comparison = {
-  v_name : string;
-  v_plan : Plan.t;
-  v_vec : vec_arm;
-  v_row : vec_arm;
-  v_speedup : float;       (* row median wall / vec median wall *)
-  v_counters_equal : bool;
-  v_rows_equal : bool;     (* result multiset digests equal *)
-  v_gated : bool;          (* the speedup gate applies to this workload *)
-  v_ok : bool;
-}
-
 type result = {
   config : config;
   comparisons : comparison list;
   parallel : parallel_check list;
-  vectorized : vec_comparison list;
   buffer_pool : Rq_storage.Buffer_pool.stats;
       (* global pool traffic over the whole bench (stats reset after the
          catalog is generated, so this is query-time behaviour) *)
@@ -417,125 +388,6 @@ let run_parallel_section config catalog ~scale =
          });
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Vectorized-vs-row data plane                                        *)
-(* ------------------------------------------------------------------ *)
-
-let median walls =
-  let b = Array.copy walls in
-  Array.sort compare b;
-  b.(Array.length b / 2)
-
-let run_vec_arm ~vectorize ~scale ~repetitions catalog plan =
-  Rq_exec.Vectorize.with_vectorize vectorize (fun () ->
-      (* Level the heap before each arm: the earlier bench sections leave a
-         large major heap whose collection costs would otherwise bleed
-         unevenly into whichever arm runs first. *)
-      Gc.compact ();
-      let walls = Array.make (max 1 repetitions) 0.0 in
-      let last = ref None in
-      let a0 = Gc.allocated_bytes () in
-      for i = 0 to Array.length walls - 1 do
-        let meter = Cost.create ~scale () in
-        let t0 = Unix.gettimeofday () in
-        let res = Executor.run ~mode:Executor.Streaming catalog meter plan in
-        walls.(i) <- Unix.gettimeofday () -. t0;
-        last :=
-          Some
-            ( Cost.snapshot meter,
-              Array.length res.Executor.tuples,
-              Exp_common.result_digest res )
-      done;
-      let allocated =
-        (Gc.allocated_bytes () -. a0) /. float_of_int (Array.length walls)
-      in
-      let snapshot, rows, digest = Option.get !last in
-      ( {
-          v_snapshot = snapshot;
-          v_rows = rows;
-          v_wall_ms = median walls *. 1000.0;
-          v_allocated_mb = allocated /. (1024.0 *. 1024.0);
-        },
-        digest ))
-
-(* Full-drain shapes where late materialization has something to save: the
-   gated pair are a narrow projection over a full scan and a join with
-   projections pushed to both inputs — in the vectorized plane the scans
-   and projections are zero-copy and tuples exist only at the final output
-   (and the join's build side).  The ungated pair (selective filter,
-   grouped aggregation) are held to counter and result equality and
-   reported for the record. *)
-let vec_workloads () =
-  let narrow =
-    [ "lineitem.l_orderkey"; "lineitem.l_quantity"; "lineitem.l_extendedprice" ]
-  in
-  let pushed_join =
-    Plan.Project
-      ( Plan.Hash_join
-          {
-            build =
-              Plan.Project (scan "orders", [ "orders.o_orderkey"; "orders.o_orderdate" ]);
-            probe =
-              Plan.Project
-                (scan "lineitem", [ "lineitem.l_orderkey"; "lineitem.l_extendedprice" ]);
-            build_key = "orders.o_orderkey";
-            probe_key = "lineitem.l_orderkey";
-          },
-        [ "orders.o_orderdate"; "lineitem.l_extendedprice" ] )
-  in
-  [
-    ("full-drain", Plan.Project (scan "lineitem", narrow), true);
-    ("join", pushed_join, true);
-    ( "filter-drain",
-      Plan.Project
-        ( Plan.Filter
-            (scan "lineitem", Pred.lt (Expr.col "lineitem.l_quantity") (Expr.float 25.0)),
-          narrow ),
-      false );
-    ( "agg-drain",
-      Plan.Aggregate
-        {
-          input = scan "lineitem";
-          group_by = [ "lineitem.l_partkey" ];
-          aggs =
-            [
-              {
-                Plan.fn = Plan.Sum (Expr.col "lineitem.l_extendedprice");
-                output_name = "revenue";
-              };
-            ];
-        },
-      false );
-  ]
-
-let run_vectorized_section config catalog ~scale =
-  (* Three repetitions minimum so the median is a real middle even when the
-     configured repetition count is bench-scale-clamped to one. *)
-  let repetitions = max 3 config.repetitions in
-  List.map
-    (fun (name, plan, gated) ->
-      let vec, vec_digest = run_vec_arm ~vectorize:true ~scale ~repetitions catalog plan in
-      let row, row_digest = run_vec_arm ~vectorize:false ~scale ~repetitions catalog plan in
-      let speedup = row.v_wall_ms /. Float.max 1e-9 vec.v_wall_ms in
-      let counters_equal = Exp_common.snapshots_equal vec.v_snapshot row.v_snapshot in
-      let rows_equal =
-        vec.v_rows = row.v_rows && Exp_common.digests_equal vec_digest row_digest
-      in
-      {
-        v_name = name;
-        v_plan = plan;
-        v_vec = vec;
-        v_row = row;
-        v_speedup = speedup;
-        v_counters_equal = counters_equal;
-        v_rows_equal = rows_equal;
-        v_gated = gated;
-        v_ok =
-          counters_equal && rows_equal
-          && ((not gated) || speedup >= config.min_vec_speedup);
-      })
-    (vec_workloads ())
-
 let run ?(config = default_config) () =
   if config.buffer_pool_pages > 0 then
     Rq_storage.Buffer_pool.configure ~capacity_pages:config.buffer_pool_pages;
@@ -579,7 +431,6 @@ let run ?(config = default_config) () =
       (workloads catalog)
   in
   let parallel = run_parallel_section config catalog ~scale in
-  let vectorized = run_vectorized_section config catalog ~scale in
   let buffer_pool = Rq_storage.Buffer_pool.global_stats () in
   (* The chunk path is the only road to data: a bench that reports no pool
      traffic is not measuring the storage layer it claims to. *)
@@ -588,12 +439,10 @@ let run ?(config = default_config) () =
     config;
     comparisons;
     parallel;
-    vectorized;
     buffer_pool;
     ok =
       List.for_all (fun c -> c.wl_ok) comparisons
       && List.for_all (fun p -> p.p_ok) parallel
-      && List.for_all (fun v -> v.v_ok) vectorized
       && pool_ok;
   }
 
@@ -666,38 +515,6 @@ let to_json r =
                    ("ok", Rq_obs.Json.Bool p.p_ok);
                  ])
              r.parallel) );
-      ("min_vec_speedup", Rq_obs.Json.Num r.config.min_vec_speedup);
-      ( "vectorized",
-        Rq_obs.Json.List
-          (List.map
-             (fun v ->
-               let varm (a : vec_arm) =
-                 Rq_obs.Json.Obj
-                   [
-                     ("wall_ms_median", Rq_obs.Json.Num a.v_wall_ms);
-                     ("allocated_mb", Rq_obs.Json.Num a.v_allocated_mb);
-                     ("rows", Rq_obs.Json.Num (float_of_int a.v_rows));
-                     ( "cpu_tuples",
-                       Rq_obs.Json.Num (float_of_int a.v_snapshot.Cost.cpu_tuples) );
-                     ( "seq_pages",
-                       Rq_obs.Json.Num (float_of_int a.v_snapshot.Cost.seq_pages) );
-                     ( "output_tuples",
-                       Rq_obs.Json.Num (float_of_int a.v_snapshot.Cost.output_tuples) );
-                   ]
-               in
-               Rq_obs.Json.Obj
-                 [
-                   ("name", Rq_obs.Json.Str v.v_name);
-                   ("plan", Rq_obs.Json.Str (Plan.describe v.v_plan));
-                   ("vectorized", varm v.v_vec);
-                   ("row", varm v.v_row);
-                   ("speedup", Rq_obs.Json.Num v.v_speedup);
-                   ("counters_equal", Rq_obs.Json.Bool v.v_counters_equal);
-                   ("rows_equal", Rq_obs.Json.Bool v.v_rows_equal);
-                   ("gated", Rq_obs.Json.Bool v.v_gated);
-                   ("ok", Rq_obs.Json.Bool v.v_ok);
-                 ])
-             r.vectorized) );
       ("buffer_pool_pages", Rq_obs.Json.Num (float_of_int r.config.buffer_pool_pages));
       ( "buffer_pool",
         (let s = r.buffer_pool in
@@ -765,21 +582,6 @@ let render r =
       in
       add "%-16s   -> %s%s\n" p.p_name verdict (if p.p_ok then "" else "  [FAIL]"))
     r.parallel;
-  add "vectorized vs row data plane (median wall of %d+ reps):\n"
-    (max 3 r.config.repetitions);
-  add "%-14s %12s %12s %9s %10s %10s\n" "workload" "vec_ms" "row_ms" "speedup"
-    "counters" "rows";
-  List.iter
-    (fun v ->
-      add "%-14s %12.3f %12.3f %8.2fx %10s %10s%s\n" v.v_name v.v_vec.v_wall_ms
-        v.v_row.v_wall_ms v.v_speedup
-        (if v.v_counters_equal then "equal" else "MISMATCH")
-        (if v.v_rows_equal then "equal" else "MISMATCH")
-        (if v.v_ok then ""
-         else if v.v_gated then
-           Printf.sprintf "  [FAIL: need >= %.2fx]" r.config.min_vec_speedup
-         else "  [FAIL]"))
-    r.vectorized;
   let s = r.buffer_pool in
   add
     "buffer pool: %d hits / %d misses (hit rate %.3f), %d evictions, %d/%d chunks \

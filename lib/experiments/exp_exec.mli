@@ -24,9 +24,6 @@ type config = {
   domains : int;              (** top of the morsel-parallel domains axis *)
   min_scan_speedup : float;
       (** gate: simulated scan-morsel speedup at [domains] over one domain *)
-  min_vec_speedup : float;
-      (** gate: wall-clock speedup of the vectorized data plane over the row
-          plane (median of repetitions) on the gated vectorized workloads *)
   buffer_pool_pages : int;
       (** global buffer-pool capacity in 8 KiB pages; 0 keeps the process
           default.  Capping it well below the data size is how the bench
@@ -89,34 +86,10 @@ type parallel_check = {
   p_ok : bool;
 }
 
-type vec_arm = {
-  v_snapshot : Cost.snapshot;
-  v_rows : int;
-  v_wall_ms : float;      (** median wall-clock per run *)
-  v_allocated_mb : float; (** mean bytes allocated per run *)
-}
-
-type vec_comparison = {
-  v_name : string;
-  v_plan : Plan.t;
-  v_vec : vec_arm;
-  v_row : vec_arm;
-  v_speedup : float;       (** row median wall / vec median wall *)
-  v_counters_equal : bool; (** every cost counter byte-identical between planes *)
-  v_rows_equal : bool;     (** result multiset digests equal *)
-  v_gated : bool;          (** [min_vec_speedup] applies to this workload *)
-  v_ok : bool;
-}
-
 type result = {
   config : config;
   comparisons : comparison list;
   parallel : parallel_check list;
-  vectorized : vec_comparison list;
-      (** the streaming engine against itself with the vectorized data plane
-          on vs. off: counters must be byte-identical, result multisets
-          equal, and the gated full-drain workloads faster by
-          [min_vec_speedup] *)
   buffer_pool : Rq_storage.Buffer_pool.stats;
       (** global pool traffic over the bench queries (reset after catalog
           generation) — hits, misses, evictions, hit rate *)
@@ -128,10 +101,8 @@ val run : ?config:config -> unit -> result
     workload's counters diverged, the zone-skip workload skipped nothing
     (or its read + skipped pages missed the table's page count), a parallel
     run failed to reproduce the serial result exactly, the scan-morsel
-    speedup gate missed, the parallel guard failed to recover, a vectorized
-    workload's counters or result multiset diverged from the row plane, a
-    gated vectorized workload missed [min_vec_speedup], or the buffer pool
-    reported no traffic at all. *)
+    speedup gate missed, the parallel guard failed to recover, or the
+    buffer pool reported no traffic at all. *)
 
 val to_json : result -> Rq_obs.Json.t
 val render : result -> string

@@ -67,11 +67,6 @@ type case = {
       (* buffer-pool-capacity gene: cap the global pool (in 8 KiB pages)
          while the case's passes run.  Eviction pressure must never change
          answers — a tiny pool only re-faults chunks. *)
-  vectorize : bool;
-      (* data-plane gene: run the streaming engine's vectorized (columnar
-         batch) plane or the row-at-a-time plane.  The plane must never
-         change answers or cost counters; corpora predating the gene
-         default to [true] (the engine default). *)
 }
 
 let workload_to_string = function Tpch -> "tpch" | Star -> "star"
@@ -380,8 +375,6 @@ let case_to_json case =
     (match case.pool_pages with
     | None -> []
     | Some n -> [ ("pool_pages", Json.Num (float_of_int n)) ])
-    @ (* emitted only when off the default, same round-trip reason *)
-    (if case.vectorize then [] else [ ("vectorize", Json.Bool false) ])
     @ [
       ( "query",
         let gene_json g =
@@ -453,18 +446,13 @@ let case_of_json j =
     | Some (Json.Num n) -> Ok (Some (int_of_float n))
     | Some _ -> Error "field \"limit\" must be a number"
   in
-  (* optional top-level genes: absent in corpora from older builds *)
+  (* optional top-level genes: absent in corpora from older builds; fields
+     of retired genes (["vectorize"]) are ignored *)
   let* pool_pages =
     match (match j with Json.Obj fields -> List.assoc_opt "pool_pages" fields | _ -> None) with
     | None -> Ok None
     | Some (Json.Num n) -> Ok (Some (int_of_float n))
     | Some _ -> Error "field \"pool_pages\" must be a number"
-  in
-  let* vectorize =
-    match (match j with Json.Obj fields -> List.assoc_opt "vectorize" fields | _ -> None) with
-    | None -> Ok true (* pre-gene corpora ran the engine default *)
-    | Some (Json.Bool b) -> Ok b
-    | Some _ -> Error "field \"vectorize\" must be a boolean"
   in
   if genes = [] then Error "query has no tables"
   else
@@ -476,7 +464,6 @@ let case_of_json j =
         faults;
         query = { genes; shape; semis; order; descending; limit };
         pool_pages;
-        vectorize;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -829,24 +816,20 @@ let probe_case ?(self_test = false) ?(self_test_rewrite = false) config case =
   match build_env config case with
   | Error e -> Error e
   | Ok env ->
-      (* Apply the data-plane gene for the duration of the probe: the
-         vectorized and row planes must be indistinguishable in every
-         pass's answers and counters. *)
-      Rq_exec.Vectorize.with_vectorize case.vectorize (fun () ->
-          match case.pool_pages with
-          | None -> run_case config ~self_test ~self_test_rewrite env case
-          | Some pages ->
-              (* Apply the buffer-pool-capacity gene for the duration of the
-                 probe, then restore the previous capacity: a starved pool must
-                 only add fault-ins, never change an answer. *)
-              let before =
-                (Rq_storage.Buffer_pool.global_stats ()).Rq_storage.Buffer_pool.capacity_chunks
-                * Rq_storage.Page.pages_per_chunk
-              in
-              Rq_storage.Buffer_pool.configure ~capacity_pages:pages;
-              Fun.protect
-                ~finally:(fun () -> Rq_storage.Buffer_pool.configure ~capacity_pages:before)
-                (fun () -> run_case config ~self_test ~self_test_rewrite env case))
+      match case.pool_pages with
+      | None -> run_case config ~self_test ~self_test_rewrite env case
+      | Some pages ->
+          (* Apply the buffer-pool-capacity gene for the duration of the
+             probe, then restore the previous capacity: a starved pool must
+             only add fault-ins, never change an answer. *)
+          let before =
+            (Rq_storage.Buffer_pool.global_stats ()).Rq_storage.Buffer_pool.capacity_chunks
+            * Rq_storage.Page.pages_per_chunk
+          in
+          Rq_storage.Buffer_pool.configure ~capacity_pages:pages;
+          Fun.protect
+            ~finally:(fun () -> Rq_storage.Buffer_pool.configure ~capacity_pages:before)
+            (fun () -> run_case config ~self_test ~self_test_rewrite env case)
 
 (* ------------------------------------------------------------------ *)
 (* Random generation and the escalating mutator                        *)
@@ -928,8 +911,7 @@ let gen_case rng config =
   let pool_pages =
     if Rng.int rng 6 = 0 then Some (Rng.pick rng [| 64; 256; 2048 |]) else None
   in
-  let vectorize = Rng.int rng 4 <> 0 in
-  { workload; catalog_seed; mutations; faults; query; pool_pages; vectorize }
+  { workload; catalog_seed; mutations; faults; query; pool_pages }
 
 let cap_list n l = if List.length l > n then List.tl l else l
 
@@ -1046,10 +1028,7 @@ let mutate_case rng ~level _config case =
            transition sequences no single injection can produce *)
         { case with faults = cap_list 3 (case.faults @ [ gen_fault rng spec tables ]) }
   | _ ->
-      if Rng.int rng 6 = 0 then
-        (* flip the data-plane gene *)
-        { case with vectorize = not case.vectorize }
-      else if Rng.int rng 5 = 0 then
+      if Rng.int rng 5 = 0 then
         (* toggle or tighten the buffer-pool-capacity gene *)
         { case with
           pool_pages =
@@ -1115,11 +1094,6 @@ let shrink_candidates case =
   in
   let drop_pool =
     if case.pool_pages <> None then [ { case with pool_pages = None } ] else []
-  in
-  let drop_vectorize_off =
-    (* restoring the default plane first: a divergence that survives it is
-       not the vectorized plane's fault *)
-    if not case.vectorize then [ { case with vectorize = true } ] else []
   in
   let weaken_mutations =
     List.concat
@@ -1193,7 +1167,7 @@ let shrink_candidates case =
      (ORDER BY / LIMIT), then whole faults/mutations, then conjuncts, then
      literal values *)
   drop_tables @ drop_semis @ drop_order @ drop_limit @ simplify_shape @ drop_mutations
-  @ drop_pool @ drop_vectorize_off @ drop_faults @ weaken_mutations @ weaken_faults
+  @ drop_pool @ drop_faults @ weaken_mutations @ weaken_faults
   @ drop_atoms @ shrink_literals
 
 let shrink ~probe ~config case0 (div0 : divergence) =
@@ -1497,7 +1471,7 @@ let run ?(log = fun (_ : string) -> ()) ?(config = default_config) () =
 (* ------------------------------------------------------------------ *)
 
 let case_summary case =
-  Printf.sprintf "%s/seed%d tables=[%s] shape=%s faults=[%s] mutations=[%s]%s"
+  Printf.sprintf "%s/seed%d tables=[%s] shape=%s faults=[%s] mutations=[%s]"
     (workload_to_string case.workload)
     case.catalog_seed
     (String.concat ","
@@ -1507,7 +1481,6 @@ let case_summary case =
     (shape_to_string case.query.shape)
     (String.concat "," (List.map Fault.injection_to_string case.faults))
     (String.concat "," (List.map Mutate.to_string case.mutations))
-    (if case.vectorize then "" else " row-plane")
 
 let render r =
   let b = Buffer.create 512 in

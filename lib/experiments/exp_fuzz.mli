@@ -55,12 +55,6 @@ type case = {
           (restored afterwards) while the case's passes run — eviction
           pressure must never change an answer.  Emitted to JSON only when
           set, so older corpora round-trip. *)
-  vectorize : bool;
-      (** data-plane gene: run the case's passes on the streaming engine's
-          vectorized plane ([true], the engine default) or the row plane.
-          The plane must never change an answer or a counter.  Emitted to
-          JSON only when [false]; corpora predating the gene parse as
-          [true]. *)
 }
 
 val workload_to_string : workload -> string

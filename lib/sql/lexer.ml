@@ -68,7 +68,13 @@ let tokenize input =
         done;
         emit (Token.Float_lit (float_of_string (String.sub input start (!i - start))))
       end
-      else emit (Token.Int_lit (int_of_string (String.sub input start (!i - start))))
+      else
+        match int_of_string_opt (String.sub input start (!i - start)) with
+        | Some v -> emit (Token.Int_lit v)
+        | None ->
+            (* report the offset where the literal starts *)
+            i := start;
+            fail "integer literal out of range"
     end
     else if is_ident_start c then begin
       let start = !i in

@@ -7,4 +7,4 @@
 
 val tokenize : string -> (Token.t list, string) result
 (** The token list always ends with [Eof].  Errors report position and the
-    offending character. *)
+    offending character, or an integer literal that does not fit an [int]. *)

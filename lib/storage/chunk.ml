@@ -17,7 +17,7 @@ let column t col = t.columns.(col)
 
 let columns t = t.columns
 
-(* Zero-copy view over existing column arrays: the vectorized executor
+(* Zero-copy view over existing column arrays: the streaming executor
    wraps a batch's columns back into a chunk so the per-chunk bitmap
    kernels run on it unchanged.  The caller keeps ownership. *)
 let of_columns ~n_rows columns =

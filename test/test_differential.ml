@@ -215,57 +215,6 @@ let run_engine_differential catalog_name catalog gen () =
       (estimator_configs stats)
   done
 
-(* The vectorized-vs-row data plane pass: the streaming engine against
-   itself with the columnar batch plane switched off.  Same law as
-   streaming-vs-materialized — byte-identical tuples AND every cost
-   counter identical — because the vectorized operators charge per
-   selected row exactly where the row operators charge per tuple. *)
-let with_vectorize enabled f =
-  let saved = !Vectorize.enabled in
-  Vectorize.enabled := enabled;
-  Fun.protect ~finally:(fun () -> Vectorize.enabled := saved) f
-
-let run_vectorize_differential catalog_name catalog gen () =
-  let rng = Rq_math.Rng.create (seed + 11) in
-  let scale = 1.0 in
-  let stats =
-    Rq_stats.Stats_store.update_statistics (Rq_math.Rng.split rng)
-      ~config:{ Rq_stats.Stats_store.default_config with sample_size = 200 }
-      catalog
-  in
-  for i = 1 to queries_per_catalog do
-    let query = gen rng in
-    List.iter
-      (fun (name, estimator) ->
-        let opt = Optimizer.create ~scale stats estimator in
-        match Optimizer.optimize opt query with
-        | Error e ->
-            fail_rejected ~label:(Printf.sprintf "%s query %d" catalog_name i) ~query name e
-        | Ok d ->
-            let run_plane enabled =
-              with_vectorize enabled (fun () ->
-                  let meter = Cost.create ~scale () in
-                  let res = Executor.run ~mode:Executor.Streaming catalog meter d.Optimizer.plan in
-                  (res, Cost.snapshot meter))
-            in
-            let vres, vsnap = run_plane true in
-            let rres, rsnap = run_plane false in
-            if vres.Executor.tuples <> rres.Executor.tuples then
-              fail_differential
-                ~label:
-                  (Printf.sprintf "%s query %d under %s: vectorized vs row data plane"
-                     catalog_name i name)
-                ~query ~reference:rres ~candidate:vres ();
-            if not (snapshots_equal vsnap rsnap) then
-              Alcotest.failf
-                "%s query %d under %s: data planes' cost counters diverge (%s)\nvectorized: %s\nrow:        %s"
-                catalog_name i name
-                (failure_context ~profile:"none" query)
-                (Format.asprintf "%a" Cost.pp_snapshot vsnap)
-                (Format.asprintf "%a" Cost.pp_snapshot rsnap))
-      (estimator_configs stats)
-  done
-
 (* The kernel-vs-scan pass: the robust estimator through the bitset
    evidence kernel must be indistinguishable from the row-scan reference —
    identical evidence counts (k, n) on every generated predicate,
@@ -820,13 +769,6 @@ let () =
         [
           Alcotest.test_case "tpch" `Quick (run_engine_differential "tpch" tpch gen_tpch_query);
           Alcotest.test_case "star" `Quick (run_engine_differential "star" star gen_star_query);
-        ] );
-      ( "vectorized plane matches row plane",
-        [
-          Alcotest.test_case "tpch" `Quick
-            (run_vectorize_differential "tpch" tpch gen_tpch_query);
-          Alcotest.test_case "star" `Quick
-            (run_vectorize_differential "star" star gen_star_query);
         ] );
       ( "evidence kernel matches row scan",
         [

@@ -94,20 +94,21 @@ let test_json_roundtrip_dense () =
           limit = Some 7;
         };
       pool_pages = Some 256;
-      vectorize = false;
     }
 
-(* A corpus entry written before the data-plane gene existed has no
-   "vectorize" field: it must parse as [true] (the engine default the old
-   build actually ran). *)
-let test_json_pre_gene_defaults_vectorized () =
-  let old_json =
+(* Corpus entries written while the streaming engine had a row plane may
+   carry a "vectorize" field.  Repro files are outside input: such an entry
+   must still parse, run clean on the one data plane there is, and drop the
+   field when written back. *)
+let test_json_legacy_vectorize_field () =
+  let legacy_json =
     Json.Obj
       [
         ("workload", Json.Str "tpch");
         ("catalog_seed", Json.Num 1.0);
         ("mutations", Json.List []);
         ("faults", Json.List []);
+        ("vectorize", Json.Bool false);
         ( "query",
           Json.Obj
             [
@@ -121,9 +122,18 @@ let test_json_pre_gene_defaults_vectorized () =
             ] );
       ]
   in
-  match F.case_of_json old_json with
-  | Error e -> Alcotest.failf "pre-gene corpus entry rejected: %s" e
-  | Ok case -> Alcotest.(check bool) "defaults to the vectorized plane" true case.F.vectorize
+  match F.case_of_json legacy_json with
+  | Error e -> Alcotest.failf "legacy corpus entry rejected: %s" e
+  | Ok case -> (
+      (match F.case_to_json case with
+      | Json.Obj fields ->
+          check_bool "field dropped on write" false (List.mem_assoc "vectorize" fields)
+      | _ -> Alcotest.fail "case_to_json did not emit an object");
+      match F.probe_case tiny_config case with
+      | Error e -> Alcotest.failf "legacy corpus entry did not run: %s" e
+      | Ok { F.divergence = Some d; _ } ->
+          Alcotest.failf "legacy corpus entry diverged on %s: %s" d.F.pass d.F.detail
+      | Ok { F.divergence = None; _ } -> ())
 
 let test_json_rejects_garbage () =
   List.iter
@@ -345,8 +355,8 @@ let () =
           Alcotest.test_case "generated cases round-trip" `Quick test_json_roundtrip_generated;
           Alcotest.test_case "dense handcrafted case round-trips" `Quick
             test_json_roundtrip_dense;
-          Alcotest.test_case "pre-gene corpora default to the vectorized plane" `Quick
-            test_json_pre_gene_defaults_vectorized;
+          Alcotest.test_case "legacy vectorize field parses and runs" `Quick
+            test_json_legacy_vectorize_field;
           Alcotest.test_case "garbage rejected" `Quick test_json_rejects_garbage;
         ] );
       ( "mutation",

@@ -315,6 +315,26 @@ let test_binder_errors () =
   check_bool "implicit FK join accepted" true
     (Result.is_ok (Binder.compile catalog "SELECT d_id FROM emp, dept"))
 
+(* An integer literal wider than [int] is a user error with a position,
+   not an exception out of the lexer — through the binder too. *)
+let test_lexer_int_out_of_range () =
+  let sql = "SELECT COUNT(*) FROM emp WHERE salary = 99999999999999999999999" in
+  let expected = "at offset 40: integer literal out of range" in
+  (match Lexer.tokenize sql with
+  | Ok _ -> Alcotest.fail "overflowing literal tokenized"
+  | Error msg -> Alcotest.(check string) "lexer error" expected msg);
+  (match Binder.compile (sql_catalog ()) sql with
+  | Ok _ -> Alcotest.fail "overflowing literal bound"
+  | Error msg ->
+      let n = String.length expected in
+      let rec has i = i + n <= String.length msg && (String.sub msg i n = expected || has (i + 1)) in
+      check_bool ("binder error names the literal: " ^ msg) true (has 0));
+  (match Lexer.tokenize (string_of_int max_int) with
+  | Ok [ Token.Int_lit n; Token.Eof ] -> Alcotest.(check int) "max_int still lexes" max_int n
+  | _ -> Alcotest.fail "max_int did not lex as one literal");
+  check_bool "max_int + 1 rejected" true
+    (Result.is_error (Lexer.tokenize "4611686018427387904"))
+
 let test_binder_order_limit () =
   let catalog = sql_catalog () in
   let bound = bind_ok catalog "SELECT salary FROM emp ORDER BY salary DESC LIMIT 5" in
@@ -633,6 +653,7 @@ let () =
           Alcotest.test_case "LIKE handling" `Quick test_binder_like;
           Alcotest.test_case "GROUP BY" `Quick test_binder_group_by;
           Alcotest.test_case "errors" `Quick test_binder_errors;
+          Alcotest.test_case "integer literal out of range" `Quick test_lexer_int_out_of_range;
           Alcotest.test_case "ORDER BY / LIMIT binding" `Quick test_binder_order_limit;
           Alcotest.test_case "COUNT(expr)" `Quick test_binder_count_expr;
           Alcotest.test_case "hint flows through" `Quick test_binder_hint_flows_through;
