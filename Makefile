@@ -1,7 +1,6 @@
 .PHONY: all test test-parallel test-rewrite fault-test differential fuzz-smoke \
-        fuzz-soak fuzz-self-test fuzz-self-test-rewrite bench bench-quick \
-        bench-throughput bench-exec bench-optimizer storage-gate cli-errors examples \
-        trace-demo clean
+        fuzz-soak fuzz-self-test fuzz-self-test-rewrite bench bench-quick cli-errors \
+        examples trace-demo clean
 
 all:
 	dune build @all
@@ -11,7 +10,7 @@ test: all
 
 # Only the morsel-parallel suite: domain-pool claiming discipline,
 # parallel-vs-serial parity across plan families, the mid-flight guard's
-# resumable prefix, and the sharded plan cache hammered from N domains.
+# resumable prefix, and per-domain plan caches hammered from N domains.
 test-parallel: all
 	dune exec test/test_parallel.exe
 
@@ -64,47 +63,41 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- quick
 
-# Plan-cache throughput bench; writes BENCH_throughput.json.
-bench-throughput: all
-	dune exec bin/robustopt.exe -- bench-throughput
-
-# Streaming-vs-materialized executor bench (early-exit page savings +
-# full-drain counter parity + GC peak); writes BENCH_exec.json.
-bench-exec: all
-	dune exec bin/robustopt.exe -- bench-exec
-
-# Bitset evidence-kernel bench: cold/warm/scan evidence throughput plus
-# plans/sec per estimator arm; writes BENCH_optimizer.json and exits
-# nonzero unless the kernel is bit-identical to the scan path AND warm
-# evidence beats both cold and the row scan.
-bench-optimizer: all
-	dune exec bin/robustopt.exe -- bench-optimizer
-
-# Paged-storage gate (the CI `storage` job): bench-exec --small with a
-# 256-page buffer pool under a 2 GiB virtual-memory cap.  The bench exits
-# nonzero unless zone-skip page accounting balances and the pool reports
-# hit/miss traffic; the ulimit proves the chunked heap keeps the resident
-# set bounded.  Runs the prebuilt binary so the cap applies to the bench,
-# not the compiler.
-storage-gate:
-	dune build bin/robustopt.exe
-	bash -c 'ulimit -v 2097152; \
-	  ./_build/default/bin/robustopt.exe bench-exec --small \
-	    --buffer-pool-pages 256 --out -' > /dev/null
-
-# User SQL errors are reported, not crashed on: an overflowing integer
-# literal and an unknown column must each exit 1 with no "internal error"
-# in the output.
+# User errors are reported, not crashed on.  Bad SQL (an overflowing
+# integer literal, an unknown column, a date that does not exist) and a
+# data directory or batch file that does not load (missing, incomplete,
+# a directory, or holding an impossible date) each exit 1; a bad flag value is a command-line error
+# (exit 124).  None may print "internal error".
+CLI := ./_build/default/bin/robustopt.exe
 cli-errors:
 	dune build bin/robustopt.exe
-	@for q in "SELECT COUNT(*) FROM lineitem WHERE l_quantity = 99999999999999999999999" \
-	          "SELECT COUNT(*) FROM lineitem WHERE nosuchcol = 1"; do \
-	  out=$$(./_build/default/bin/robustopt.exe run "$$q" 2>&1); code=$$?; \
-	  if [ $$code -ne 1 ] || echo "$$out" | grep -q "internal error"; then \
-	    echo "cli-errors: exit $$code for: $$q"; echo "$$out"; exit 1; \
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	check() { want=$$1; shift; out=$$("$$@" 2>&1); code=$$?; \
+	  if [ $$code -ne $$want ] || echo "$$out" | grep -q "internal error"; then \
+	    echo "cli-errors: exit $$code (want $$want) for: $$*"; echo "$$out"; exit 1; \
 	  fi; \
-	  echo "cli-errors: ok: $$out"; \
-	done
+	  echo "cli-errors: ok: $$(echo "$$out" | head -n 1)"; }; \
+	check 1 $(CLI) run "SELECT COUNT(*) FROM lineitem WHERE l_quantity = 99999999999999999999999"; \
+	check 1 $(CLI) run "SELECT COUNT(*) FROM lineitem WHERE nosuchcol = 1"; \
+	check 1 $(CLI) run "SELECT COUNT(*) FROM lineitem WHERE l_shipdate < DATE '1995-13-45'"; \
+	check 1 $(CLI) run "SELECT COUNT(*) FROM lineitem WHERE l_shipdate < '1995-02-29'"; \
+	check 1 $(CLI) profile --workload star "SELECT COUNT(*) FROM fact, dim1"; \
+	check 124 $(CLI) run --workload bogus "SELECT COUNT(*) FROM lineitem"; \
+	check 124 $(CLI) run --estimator bogus "SELECT COUNT(*) FROM lineitem"; \
+	check 124 $(CLI) run --fault-profile bogus "SELECT COUNT(*) FROM lineitem"; \
+	check 124 $(CLI) run --confidence 150 "SELECT COUNT(*) FROM lineitem"; \
+	check 124 $(CLI) run --sample-size 0 "SELECT COUNT(*) FROM lineitem"; \
+	check 124 $(CLI) run --scale 0 "SELECT COUNT(*) FROM lineitem"; \
+	check 124 $(CLI) run --reopt-threshold 0.5 "SELECT COUNT(*) FROM lineitem"; \
+	check 124 $(CLI) experiment nosuch; \
+	check 1 $(CLI) run --data-dir "$$tmp/missing" "SELECT COUNT(*) FROM fact"; \
+	check 1 $(CLI) batch --workload star "$$tmp"; \
+	mkdir "$$tmp/star" && $(CLI) export --workload star "$$tmp/star" > /dev/null && \
+	  rm "$$tmp/star/fact.csv"; \
+	check 1 $(CLI) run --data-dir "$$tmp/star" "SELECT COUNT(*) FROM fact"; \
+	mkdir "$$tmp/dates" && printf 'CREATE TABLE t (\n  k INT PRIMARY KEY,\n  d DATE\n);\n' \
+	  > "$$tmp/dates/schema.sql" && printf 'k,d\n1,1995-02-28\n2,1995-02-30\n' > "$$tmp/dates/t.csv"; \
+	check 1 $(CLI) run --data-dir "$$tmp/dates" "SELECT COUNT(*) FROM t"
 
 examples:
 	dune exec examples/quickstart.exe

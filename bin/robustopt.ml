@@ -4,9 +4,11 @@
      explain     parse + optimize a SQL query, print the chosen plan
      run         optimize, execute, print results and simulated time
      estimate    compare selectivity estimates (robust / AVI / truth)
-     analyze     print an analytical figure's data series (fig1..fig8)
+     experiment  guard-rescue table (reopt) or the differential fuzzer (fuzz)
 
-   Workloads are generated in-memory from a seed: --workload tpch | star. *)
+   Workloads are generated in-memory from a seed: --workload tpch | star.
+   The paper's figures and tables come from bench/main.exe; wall-clock
+   measurements from perfbench/. *)
 
 open Cmdliner
 open Rq_optimizer
@@ -14,14 +16,23 @@ open Rq_optimizer
 let generate_workload ~workload ~seed ~scale =
   let rng = Rq_math.Rng.create seed in
   match workload with
-  | "tpch" ->
+  | `Tpch ->
       let params = { Rq_workload.Tpch.default_params with scale_factor = scale } in
       let catalog = Rq_workload.Tpch.generate rng ~params () in
       (catalog, Rq_workload.Tpch.cost_scale catalog)
-  | "star" ->
+  | `Star ->
       let catalog = Rq_workload.Star.generate rng () in
       (catalog, Rq_workload.Star.cost_scale catalog)
-  | other -> failwith (Printf.sprintf "unknown workload %S (expected tpch or star)" other)
+
+(* Bad SQL or data is user input, not an internal fault: one line on
+   stderr ("robustopt: SQL error: ..." / "robustopt: data error: ...") and
+   exit 1. *)
+let user_error kind fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "robustopt: %s error: %s\n" kind msg;
+      exit 1)
+    fmt
 
 (* A --data-dir overrides the generated workload; user data runs at scale 1
    (its costs are whatever its actual size implies). *)
@@ -30,7 +41,7 @@ let obtain_catalog ~workload ~seed ~scale ~data_dir =
   | Some dir -> (
       match Rq_sql.Loader.load_directory dir with
       | Ok catalog -> (catalog, 1.0)
-      | Error msg -> failwith (Printf.sprintf "loading %s: %s" dir msg))
+      | Error msg -> user_error "data" "loading %s: %s" dir msg)
   | None -> generate_workload ~workload ~seed ~scale
 
 let build_stats ~seed ~sample_size catalog =
@@ -41,17 +52,13 @@ let build_stats ~seed ~sample_size catalog =
 
 let make_optimizer ~estimator ~confidence ~scale stats =
   match estimator with
-  | "robust" -> Optimizer.robust ~scale ~confidence stats
-  | "histogram" -> Optimizer.baseline ~scale stats
-  | other -> failwith (Printf.sprintf "unknown estimator %S (expected robust or histogram)" other)
+  | `Robust -> Optimizer.robust ~scale ~confidence stats
+  | `Histogram -> Optimizer.baseline ~scale stats
 
 let compile_sql catalog sql =
   match Rq_sql.Binder.compile catalog sql with
   | Ok bound -> bound
-  | Error msg ->
-      (* Bad SQL is user input, not an internal fault: report it and exit 1. *)
-      prerr_endline ("robustopt: SQL error: " ^ msg);
-      exit 1
+  | Error msg -> user_error "SQL" "%s" msg
 
 let resolve_confidence ~confidence ~hint =
   match hint with
@@ -60,24 +67,41 @@ let resolve_confidence ~confidence ~hint =
 
 (* ---------------- common flags ---------------- *)
 
+(* [base]'s values restricted to those satisfying [ok]; anything else is a
+   command-line error ("must be [what]"), never an exception further in. *)
+let checked base ~what ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S must be %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
 let workload_arg =
-  Arg.(value & opt string "tpch" & info [ "workload"; "w" ] ~doc:"Workload: tpch or star.")
+  Arg.(value & opt (enum [ ("tpch", `Tpch); ("star", `Star) ]) `Tpch
+       & info [ "workload"; "w" ] ~doc:"Workload: tpch or star.")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Generator seed.")
 
 let scale_arg =
-  Arg.(value & opt float 0.01 & info [ "scale" ] ~doc:"TPC-H scale factor (1.0 = 6M lineitems).")
+  Arg.(value & opt (checked float ~what:"positive" (fun s -> s > 0.0)) 0.01
+       & info [ "scale" ] ~doc:"TPC-H scale factor (1.0 = 6M lineitems).")
 
 let sample_arg =
-  Arg.(value & opt int 500 & info [ "sample-size" ] ~doc:"Synopsis sample size.")
+  Arg.(value & opt (checked int ~what:"a positive integer" (fun n -> n > 0)) 500
+       & info [ "sample-size" ] ~doc:"Synopsis sample size.")
 
 let confidence_arg =
-  Arg.(value & opt float 80.0 & info [ "confidence"; "t" ]
-       ~doc:"Confidence threshold percent (overridden by a /*+ CONFIDENCE(n) */ hint).")
+  Arg.(value
+       & opt (checked float ~what:"strictly between 0 and 100" (fun p -> p > 0.0 && p < 100.0))
+           80.0
+       & info [ "confidence"; "t" ]
+           ~doc:"Confidence threshold percent (overridden by a /*+ CONFIDENCE(n) */ hint).")
 
 let estimator_arg =
-  Arg.(value & opt string "robust" & info [ "estimator"; "e" ]
-       ~doc:"Cardinality estimator: robust or histogram.")
+  Arg.(value & opt (enum [ ("robust", `Robust); ("histogram", `Histogram) ]) `Robust
+       & info [ "estimator"; "e" ] ~doc:"Cardinality estimator: robust or histogram.")
 
 let sql_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL")
 
@@ -86,14 +110,17 @@ let data_dir_arg =
        ~doc:"Directory with schema.sql + <table>.csv files (overrides --workload).")
 
 let fault_profile_arg =
-  Arg.(value & opt (some string) None & info [ "fault-profile" ]
+  let profiles = List.map (fun p -> (p, p)) Rq_stats.Fault.profile_names in
+  Arg.(value & opt (some (enum profiles)) None & info [ "fault-profile" ]
        ~doc:(Printf.sprintf
                "Damage the statistics store before optimizing (one of %s); estimation then \
                 falls back down the degradation chain, reporting each tier transition."
                (String.concat ", " Rq_stats.Fault.profile_names)))
 
 let reopt_threshold_arg =
-  Arg.(value & opt (some float) None & info [ "reopt-threshold" ]
+  Arg.(value
+       & opt (some (checked float ~what:"at least 1.0 (a q-error)" (fun t -> t >= 1.0))) None
+       & info [ "reopt-threshold" ]
        ~doc:"Place cardinality guards in the plan with this q-error threshold (>= 1.0); a \
              violation aborts the pipeline and re-optimizes mid-query over the materialized \
              intermediate.")
@@ -102,17 +129,6 @@ let opt_budget_arg =
   Arg.(value & opt (some int) None & info [ "opt-budget" ]
        ~doc:"Cap on candidate-cost evaluations during plan search; when exceeded the \
              optimizer answers with the deterministic left-deep fallback plan.")
-
-let exec_arg =
-  Arg.(value & opt string "streaming" & info [ "exec" ]
-       ~doc:"Execution engine: streaming (pull-based batch pipeline, early-exit LIMIT and \
-             mid-stream guards) or materialized (compute every operator's full output).")
-
-let mode_of_string = function
-  | "streaming" -> Rq_exec.Executor.Streaming
-  | "materialized" -> Rq_exec.Executor.Materialized
-  | other ->
-      failwith (Printf.sprintf "unknown --exec %S (expected streaming or materialized)" other)
 
 let trace_arg =
   Arg.(value & flag & info [ "trace" ]
@@ -125,14 +141,6 @@ let metrics_json_arg =
 
 let make_recorder ~trace ~metrics_json =
   if trace || metrics_json then Some (Rq_obs.Recorder.create ()) else None
-
-(* Bench commands surface input/configuration failures as a one-line
-   message naming the failing query, and exit nonzero — not a backtrace. *)
-let with_bench_errors f =
-  try f ()
-  with Rq_experiments.Exp_common.Bench_error { context; message } ->
-    Printf.eprintf "bench failed at %s: %s\n" context message;
-    exit 1
 
 (* Evidence-kernel counters summed over every live synopsis in the store:
    the optimizer-side work (bitmaps built vs. hit, sample rows scanned vs.
@@ -167,11 +175,6 @@ let print_observability ?kernel ~trace ~metrics_json recorder =
         in
         print_endline (Rq_obs.Json.to_string json)
       end
-
-let check_reopt_threshold = function
-  | Some t when t < 1.0 ->
-      failwith (Printf.sprintf "--reopt-threshold must be >= 1.0 (a q-error), got %g" t)
-  | _ -> ()
 
 (* Apply --fault-profile: damage a copy of the stats and switch to the
    graceful-degradation estimation chain over the damaged store. *)
@@ -209,9 +212,7 @@ let explain_cmd =
          ~doc:"Also execute the plan and report per-node estimated vs. actual rows.")
   in
   let run workload seed scale sample_size confidence estimator analyze data_dir fault_profile
-      reopt_threshold opt_budget exec trace metrics_json sql =
-    check_reopt_threshold reopt_threshold;
-    let mode = mode_of_string exec in
+      reopt_threshold opt_budget trace metrics_json sql =
     let catalog, cost_scale = obtain_catalog ~workload ~seed ~scale ~data_dir in
     let stats = build_stats ~seed ~sample_size catalog in
     let bound = compile_sql catalog sql in
@@ -228,7 +229,7 @@ let explain_cmd =
     Printf.printf "confidence threshold: %g%%\n" (Rq_core.Confidence.to_percent confidence);
     (match Optimizer.explain opt bound.Rq_sql.Binder.query with
     | Ok report -> print_string report
-    | Error msg -> failwith msg);
+    | Error msg -> user_error "SQL" "%s" msg);
     if analyze then begin
       let decision =
         match
@@ -237,7 +238,7 @@ let explain_cmd =
             opt bound.Rq_sql.Binder.query
         with
         | Ok d -> d
-        | Error msg -> failwith msg
+        | Error msg -> user_error "SQL" "%s" msg
       in
       print_degradations decision;
       (* With a guard threshold, EXPLAIN ANALYZE shows each checkpoint and
@@ -249,7 +250,7 @@ let explain_cmd =
       in
       print_newline ();
       let report =
-        Explain_analyze.analyze catalog ~scale:cost_scale ?obs:recorder ~mode
+        Explain_analyze.analyze catalog ~scale:cost_scale ?obs:recorder
           (Optimizer.estimator opt) plan
       in
       print_string (Explain_analyze.render_report report);
@@ -259,8 +260,7 @@ let explain_cmd =
   let term =
     Term.(const run $ workload_arg $ seed_arg $ scale_arg $ sample_arg $ confidence_arg
           $ estimator_arg $ analyze_arg $ data_dir_arg $ fault_profile_arg
-          $ reopt_threshold_arg $ opt_budget_arg $ exec_arg $ trace_arg $ metrics_json_arg
-          $ sql_arg)
+          $ reopt_threshold_arg $ opt_budget_arg $ trace_arg $ metrics_json_arg $ sql_arg)
   in
   Cmd.v
     (Cmd.info "explain"
@@ -287,9 +287,7 @@ let print_result_rows result =
 
 let run_cmd =
   let run workload seed scale sample_size confidence estimator data_dir fault_profile
-      reopt_threshold opt_budget exec trace metrics_json sql =
-    check_reopt_threshold reopt_threshold;
-    let mode = mode_of_string exec in
+      reopt_threshold opt_budget trace metrics_json sql =
     let catalog, cost_scale = obtain_catalog ~workload ~seed ~scale ~data_dir in
     let stats = build_stats ~seed ~sample_size catalog in
     let bound = compile_sql catalog sql in
@@ -311,14 +309,14 @@ let run_cmd =
           opt query
       with
       | Ok d -> d
-      | Error msg -> failwith msg
+      | Error msg -> user_error "SQL" "%s" msg
     in
     print_degradations decision;
     (match reopt_threshold with
     | None ->
         let meter = Rq_exec.Cost.create ~scale:cost_scale () in
         let result =
-          Rq_exec.Executor.run ?obs:recorder ~mode catalog meter decision.Optimizer.plan
+          Rq_exec.Executor.run ?obs:recorder catalog meter decision.Optimizer.plan
         in
         let snapshot = Rq_exec.Cost.snapshot meter in
         Printf.printf "plan: %s\n" (Rq_exec.Plan.describe decision.Optimizer.plan);
@@ -327,7 +325,7 @@ let run_cmd =
         print_result_rows result
     | Some threshold ->
         let outcome =
-          Reopt.execute_plan ~threshold ?obs:recorder ~mode opt query decision.Optimizer.plan
+          Reopt.execute_plan ~threshold ?obs:recorder opt query decision.Optimizer.plan
         in
         Printf.printf "initial plan: %s\n"
           (Rq_exec.Plan.describe outcome.Reopt.initial_plan);
@@ -342,7 +340,7 @@ let run_cmd =
   let term =
     Term.(const run $ workload_arg $ seed_arg $ scale_arg $ sample_arg $ confidence_arg
           $ estimator_arg $ data_dir_arg $ fault_profile_arg $ reopt_threshold_arg
-          $ opt_budget_arg $ exec_arg $ trace_arg $ metrics_json_arg $ sql_arg)
+          $ opt_budget_arg $ trace_arg $ metrics_json_arg $ sql_arg)
   in
   Cmd.v
     (Cmd.info "run"
@@ -384,72 +382,41 @@ let estimate_cmd =
     (Cmd.info "estimate" ~doc:"Compare cardinality estimates against the true cardinality.")
     term
 
-(* ---------------- analyze ---------------- *)
-
-let analyze_cmd =
-  let figure_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE"
-         ~doc:"One of fig1..fig8.")
-  in
-  let run figure =
-    let print_series series =
-      List.iter
-        (fun { Rq_analysis.Figures.label; points } ->
-          Printf.printf "# %s\n" label;
-          List.iter (fun (x, y) -> Printf.printf "%.6g\t%.6g\n" x y) points)
-        series
-    in
-    match figure with
-    | "fig1" -> print_series (Rq_analysis.Figures.fig1_cost_vs_selectivity ())
-    | "fig2" -> print_series (Rq_analysis.Figures.fig2_cost_pdf ())
-    | "fig3" -> print_series (Rq_analysis.Figures.fig3_cost_cdf ())
-    | "fig4" -> print_series (Rq_analysis.Figures.fig4_prior_comparison ())
-    | "fig5" -> print_series (Rq_analysis.Figures.fig5_confidence_sweep ())
-    | "fig6" ->
-        List.iter
-          (fun (t, s) ->
-            Printf.printf "%g\t%.3f\t%.3f\n" t s.Rq_math.Summary.mean s.Rq_math.Summary.std_dev)
-          (Rq_analysis.Figures.fig6_tradeoff ())
-    | "fig7" -> print_series (Rq_analysis.Figures.fig7_sample_size_sweep ())
-    | "fig8" -> print_series (Rq_analysis.Figures.fig8_high_crossover ())
-    | other -> failwith (Printf.sprintf "unknown figure %S" other)
-  in
-  let term = Term.(const run $ figure_arg) in
-  Cmd.v (Cmd.info "analyze" ~doc:"Print an analytical figure's data series.") term
-
 (* ---------------- batch ---------------- *)
 
 let batch_cmd =
   let file_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
+    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
          ~doc:"File with one SQL query per line (blank lines and -- comments skipped).")
   in
   let policy_arg =
-    Arg.(value & opt string "moderate" & info [ "policy" ]
+    let policies =
+      Rq_core.Confidence.[ ("conservative", Conservative); ("moderate", Moderate);
+                           ("aggressive", Aggressive) ]
+    in
+    Arg.(value & opt (enum policies) Rq_core.Confidence.Moderate & info [ "policy" ]
          ~doc:"System robustness policy: conservative, moderate or aggressive.")
   in
   let run workload seed scale sample_size data_dir policy file =
     let catalog, cost_scale = obtain_catalog ~workload ~seed ~scale ~data_dir in
-    let setting =
-      match Rq_core.Confidence.policy_of_string policy with
-      | Ok p -> { Rq_core.Confidence.system_default = Rq_core.Confidence.of_policy p }
-      | Error msg -> failwith msg
-    in
-    let ic = open_in file in
+    let setting = { Rq_core.Confidence.system_default = Rq_core.Confidence.of_policy policy } in
     let sqls = ref [] in
     (try
-       while true do
-         let line = String.trim (input_line ic) in
-         let is_comment = String.length line >= 2 && String.sub line 0 2 = "--" in
-         if line <> "" && not is_comment then sqls := line :: !sqls
-       done
-     with End_of_file -> close_in ic);
+       let ic = open_in file in
+       try
+         while true do
+           let line = String.trim (input_line ic) in
+           let is_comment = String.length line >= 2 && String.sub line 0 2 = "--" in
+           if line <> "" && not is_comment then sqls := line :: !sqls
+         done
+       with End_of_file -> close_in ic
+     with Sys_error msg -> user_error "data" "reading %s: %s" file msg);
     match
       Rq_experiments.Workbench.run ~setting ~sample_size ~seed ~scale:cost_scale catalog
         (List.rev !sqls)
     with
     | Ok report -> print_string (Rq_experiments.Workbench.render report)
-    | Error msg -> failwith msg
+    | Error msg -> user_error "SQL" "%s" msg
   in
   let term =
     Term.(const run $ workload_arg $ seed_arg $ scale_arg $ sample_arg $ data_dir_arg
@@ -464,7 +431,7 @@ let batch_cmd =
 
 let export_cmd =
   let dir_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR"
+    Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR"
          ~doc:"Target directory (must exist).")
   in
   let run workload seed scale dir =
@@ -472,7 +439,7 @@ let export_cmd =
     match Rq_sql.Loader.export_directory catalog dir with
     | Ok () -> Printf.printf "wrote schema.sql and %d CSV files to %s\n"
                  (List.length (Rq_storage.Catalog.table_names catalog)) dir
-    | Error msg -> failwith msg
+    | Error msg -> user_error "data" "%s" msg
   in
   let term = Term.(const run $ workload_arg $ seed_arg $ scale_arg $ dir_arg) in
   Cmd.v
@@ -484,8 +451,8 @@ let export_cmd =
 
 let experiment_cmd =
   let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT"
-         ~doc:"One of fig9, fig10, fig11, fig12, overhead, partial-stats, reopt, fuzz.")
+    Arg.(required & pos 0 (some (enum [ ("reopt", `Reopt); ("fuzz", `Fuzz) ])) None
+         & info [] ~docv:"EXPERIMENT" ~doc:"One of reopt, fuzz.")
   in
   let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced repetitions.") in
   let iterations_arg =
@@ -537,64 +504,14 @@ let experiment_cmd =
       self_test self_test_rewrite repro_out =
     let module E = Rq_experiments in
     match name with
-    | "fig9" ->
-        let config =
-          if quick then
-            { E.Exp_single_table.default_config with repetitions = 4; offsets = [ 30; 50; 65; 80; 90 ] }
-          else E.Exp_single_table.default_config
-        in
-        let rows = E.Exp_single_table.run ~config () in
-        print_string (E.Report.rows_table rows);
-        print_string (E.Report.plan_mix rows);
-        print_string (E.Report.tradeoff_table (E.Exp_single_table.tradeoff rows))
-    | "fig10" ->
-        let config =
-          if quick then
-            { E.Exp_three_join.default_config with repetitions = 4; buckets = [ 0; 700; 850; 950; 999 ] }
-          else E.Exp_three_join.default_config
-        in
-        let rows = E.Exp_three_join.run ~config () in
-        print_string (E.Report.rows_table rows);
-        print_string (E.Report.plan_mix rows);
-        print_string (E.Report.tradeoff_table (E.Exp_three_join.tradeoff rows))
-    | "fig11" ->
-        let config =
-          if quick then
-            { E.Exp_star_join.default_config with repetitions = 4;
-              join_fractions = [ 0.0; 0.01; 0.04; 0.1 ]; fact_rows = 50_000 }
-          else E.Exp_star_join.default_config
-        in
-        let rows = E.Exp_star_join.run ~config () in
-        print_string (E.Report.rows_table rows);
-        print_string (E.Report.tradeoff_table (E.Exp_star_join.tradeoff rows))
-    | "fig12" ->
-        let config =
-          if quick then
-            { E.Exp_sample_size.default_config with repetitions = 4;
-              sample_sizes = [ 50; 250; 1000 ]; offsets = [ 30; 50; 65; 80; 90 ] }
-          else E.Exp_sample_size.default_config
-        in
-        print_string (E.Report.sample_size_table (E.Exp_sample_size.run ~config ()))
-    | "overhead" ->
-        let config =
-          if quick then { E.Overhead.default_config with iterations = 10 }
-          else E.Overhead.default_config
-        in
-        print_string (E.Report.overhead_table (E.Overhead.run ~config ()))
-    | "partial-stats" ->
-        let config =
-          if quick then { E.Exp_partial_stats.default_config with scale_factor = 0.003 }
-          else E.Exp_partial_stats.default_config
-        in
-        print_string (E.Report.partial_stats_table (E.Exp_partial_stats.run ~config ()))
-    | "reopt" ->
+    | `Reopt ->
         let config =
           if quick then
             { E.Exp_reopt.default_config with lineitems = 1000; orders = 100; cutoffs = [ 5; 25; 50 ] }
           else E.Exp_reopt.default_config
         in
         print_string (E.Exp_reopt.render (E.Exp_reopt.run ~config ()))
-    | "fuzz" -> (
+    | `Fuzz -> (
         let module F = E.Exp_fuzz in
         let config =
           {
@@ -633,7 +550,6 @@ let experiment_cmd =
             let result = F.run ~log:print_endline ~config () in
             print_string (F.render result);
             if not result.F.r_ok then exit 1)
-    | other -> failwith (Printf.sprintf "unknown experiment %S" other)
   in
   let term =
     Term.(const run $ name_arg $ quick_arg $ iterations_arg $ seed_arg $ corpus_dir_arg
@@ -641,187 +557,9 @@ let experiment_cmd =
           $ self_test_rewrite_arg $ repro_out_arg)
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Run one of the paper's empirical experiments (Figures 9-12).")
-    term
-
-(* ---------------- bench-throughput ---------------- *)
-
-let bench_throughput_cmd =
-  let small_arg =
-    Arg.(value & flag & info [ "small" ]
-         ~doc:"CI-sized run: smaller catalogs and fewer replays.")
-  in
-  let seed_arg =
-    Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N"
-         ~doc:"Override the replay seed (default 7).")
-  in
-  let replays_arg =
-    Arg.(value & opt (some int) None & info [ "replays" ] ~docv:"N"
-         ~doc:"Override the number of replayed queries.")
-  in
-  let out_arg =
-    Arg.(value & opt string "BENCH_throughput.json" & info [ "out" ] ~docv:"FILE"
-         ~doc:"Where to write the JSON report; - for none.")
-  in
-  let domains_arg =
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Concurrent replay drivers over the sharded plan cache (default 4).")
-  in
-  let run small seed replays domains out trace metrics_json =
-    let module E = Rq_experiments in
-    let config = if small then E.Exp_throughput.small_config else E.Exp_throughput.default_config in
-    let config =
-      match seed with None -> config | Some seed -> { config with E.Exp_throughput.seed }
-    in
-    let config =
-      match replays with None -> config | Some replays -> { config with E.Exp_throughput.replays }
-    in
-    let config =
-      match domains with None -> config | Some domains -> { config with E.Exp_throughput.domains }
-    in
-    let recorder = make_recorder ~trace ~metrics_json in
-    let result = with_bench_errors (fun () -> E.Exp_throughput.run ?obs:recorder ~config ()) in
-    print_string (E.Exp_throughput.render result);
-    if out <> "-" then begin
-      let oc = open_out out in
-      output_string oc (Rq_obs.Json.to_string (E.Exp_throughput.to_json result));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
-    end;
-    print_observability ~trace ~metrics_json recorder;
-    if not result.E.Exp_throughput.ok then exit 1
-  in
-  let term =
-    Term.(const run $ small_arg $ seed_arg $ replays_arg $ domains_arg $ out_arg
-          $ trace_arg $ metrics_json_arg)
-  in
-  Cmd.v
-    (Cmd.info "bench-throughput"
-       ~doc:"Replay a mixed workload through the plan cache: optimize/execute time split, \
-             hit rate, invalidations, a differential plan-correctness check, and a \
-             concurrent replay over a domain-sharded cache.")
-    term
-
-(* ---------------- bench-exec ---------------- *)
-
-let bench_exec_cmd =
-  let small_arg =
-    Arg.(value & flag & info [ "small" ]
-         ~doc:"CI-sized run: smaller catalog and fewer repetitions.")
-  in
-  let seed_arg =
-    Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N"
-         ~doc:"Override the workload seed (default 11).")
-  in
-  let out_arg =
-    Arg.(value & opt string "BENCH_exec.json" & info [ "out" ] ~docv:"FILE"
-         ~doc:"Where to write the JSON report; - for none.")
-  in
-  let domains_arg =
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Top of the morsel-parallel domains axis (default 4).")
-  in
-  let scale_arg =
-    Arg.(value & opt (some float) None & info [ "scale" ] ~docv:"SF"
-         ~doc:"TPC-H scale factor (default 0.01; 1.0 is the paper's 6M-row \
-               lineitem).  Scales >= 0.1 drop to one repetition unless the \
-               default is overridden by --small.")
-  in
-  let pool_arg =
-    Arg.(value & opt (some int) None & info [ "buffer-pool-pages" ] ~docv:"PAGES"
-         ~doc:"Cap the global buffer pool at this many 8 KiB pages (rounded \
-               down to whole chunks).  Capping well below the data size \
-               exercises out-of-core execution.")
-  in
-  let run small seed domains scale pool_pages out =
-    let module E = Rq_experiments in
-    let config = if small then E.Exp_exec.small_config else E.Exp_exec.default_config in
-    let config =
-      match seed with None -> config | Some seed -> { config with E.Exp_exec.seed }
-    in
-    let config =
-      match domains with None -> config | Some domains -> { config with E.Exp_exec.domains }
-    in
-    let config =
-      match scale with
-      | None -> config
-      | Some scale_factor ->
-          (* Big catalogs: one repetition is already minutes of work, and
-             holding both engines' result sets for the exact tuple compare
-             costs ~1 GB at scale 1 — the digest compare keeps only one
-             result live at a time. *)
-          let repetitions = if scale_factor >= 0.1 then 1 else config.E.Exp_exec.repetitions in
-          let exact_compare = scale_factor < 0.1 in
-          { config with E.Exp_exec.scale_factor; repetitions; exact_compare }
-    in
-    let config =
-      match pool_pages with
-      | None -> config
-      | Some buffer_pool_pages -> { config with E.Exp_exec.buffer_pool_pages }
-    in
-    let result =
-      with_bench_errors (fun () -> E.Exp_exec.run ~config ())
-    in
-    print_string (E.Exp_exec.render result);
-    if out <> "-" then begin
-      let oc = open_out out in
-      output_string oc (Rq_obs.Json.to_string (E.Exp_exec.to_json result));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
-    end;
-    if not result.E.Exp_exec.ok then exit 1
-  in
-  let term =
-    Term.(
-      const run $ small_arg $ seed_arg $ domains_arg $ scale_arg $ pool_arg $ out_arg)
-  in
-  Cmd.v
-    (Cmd.info "bench-exec"
-       ~doc:"Streaming vs. materialized executor: early-exit page savings on LIMIT and \
-             mid-stream guard workloads, exact counter parity on full drains, real \
-             runtime/memory per engine and the morsel-parallel domains axis.")
-    term
-
-(* ---------------- bench-optimizer ---------------- *)
-
-let bench_optimizer_cmd =
-  let small_arg =
-    Arg.(value & flag & info [ "small" ]
-         ~doc:"CI-sized run: smaller catalog and fewer repeats.")
-  in
-  let seed_arg =
-    Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N"
-         ~doc:"Override the world seed (default 11).")
-  in
-  let out_arg =
-    Arg.(value & opt string "BENCH_optimizer.json" & info [ "out" ] ~docv:"FILE"
-         ~doc:"Where to write the JSON report; - for none.")
-  in
-  let run small seed out =
-    let module E = Rq_experiments in
-    let config = if small then E.Exp_optimizer.small_config else E.Exp_optimizer.default_config in
-    let config =
-      match seed with None -> config | Some seed -> { config with E.Exp_optimizer.seed }
-    in
-    let result = with_bench_errors (fun () -> E.Exp_optimizer.run ~config ()) in
-    print_string (E.Exp_optimizer.render result);
-    if out <> "-" then begin
-      let oc = open_out out in
-      output_string oc (Rq_obs.Json.to_string (E.Exp_optimizer.to_json result));
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" out
-    end;
-    if not result.E.Exp_optimizer.ok then exit 1
-  in
-  let term = Term.(const run $ small_arg $ seed_arg $ out_arg) in
-  Cmd.v
-    (Cmd.info "bench-optimizer"
-       ~doc:"Bitset evidence kernel vs. row-scan sampling on the optimizer hot path: \
-             evidence queries/sec (cold/warm/scan), plans/sec per estimator and \
-             confidence, and bit-identity checks on evidence and chosen plans.")
+    (Cmd.info "experiment"
+       ~doc:"Run the guard-rescue experiment (reopt) or the differential fuzzer (fuzz).  \
+             The paper's figures and tables are regenerated by bench/main.exe.")
     term
 
 (* ---------------- profile ---------------- *)
@@ -857,7 +595,7 @@ let profile_cmd =
                            (List.map (fun s -> Printf.sprintf "%.4f%%" (100.0 *. s)) crossings)))
               plans)
           plans
-    | _ -> failwith "profile expects a single-table query"
+    | _ -> user_error "SQL" "profile expects a single-table query"
   in
   let term = Term.(const run $ workload_arg $ seed_arg $ scale_arg $ sql_arg) in
   Cmd.v
@@ -872,7 +610,7 @@ let sweep_cmd =
      (selectivity, confidence threshold) cell of the Experiment-1 template,
      plus the histogram baseline column. *)
   let run seed scale sample_size =
-    let catalog, cost_scale = generate_workload ~workload:"tpch" ~seed ~scale in
+    let catalog, cost_scale = generate_workload ~workload:`Tpch ~seed ~scale in
     let stats = build_stats ~seed ~sample_size catalog in
     let thresholds = [ 5.0; 20.0; 50.0; 80.0; 95.0 ] in
     Printf.printf "offset	sel%%	%s	histograms
@@ -912,7 +650,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ explain_cmd; run_cmd; estimate_cmd; analyze_cmd; experiment_cmd;
-            bench_throughput_cmd; bench_exec_cmd; bench_optimizer_cmd; profile_cmd;
-            sweep_cmd; export_cmd;
-            batch_cmd ]))
+          [ explain_cmd; run_cmd; estimate_cmd; experiment_cmd; profile_cmd; sweep_cmd;
+            export_cmd; batch_cmd ]))

@@ -440,9 +440,9 @@ let run ?obs ?(mode = Streaming) catalog meter plan =
   | Streaming -> Stream_exec.run ?obs catalog meter plan
   | Materialized -> exec { catalog; meter; obs } plan
 
-let run_timed catalog ?constants ?scale ?obs ?mode plan =
+let run_timed catalog ?constants ?scale ?obs plan =
   let meter = Cost.create ?constants ?scale () in
-  let res = run ?obs ?mode catalog meter plan in
+  let res = run ?obs catalog meter plan in
   (res, Cost.snapshot meter)
 
 let result_to_relation ~name { schema; tuples } = Relation.create ~name ~schema tuples

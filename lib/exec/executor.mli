@@ -69,7 +69,6 @@ val run_timed :
   ?constants:Cost.constants ->
   ?scale:float ->
   ?obs:Rq_obs.Recorder.t ->
-  ?mode:mode ->
   Plan.t ->
   result * Cost.snapshot
 (** Convenience: fresh meter, run, snapshot. *)

@@ -45,7 +45,7 @@ type ctx = {
   catalog : Catalog.t;
   meter : Cost.t;
   obs : Rq_obs.Recorder.t option;
-  mutable morsel_seconds : float list;  (* reversed *)
+  morsels : int ref;  (* morsels absorbed; shared by the fused join's inner ctx *)
 }
 
 let record ctx event =
@@ -104,7 +104,7 @@ let scan_morsel ~rel ~match_chunk ~constants ~scale tasks =
 
 let absorb ctx (snap : Cost.snapshot) =
   Cost.absorb ctx.meter snap;
-  ctx.morsel_seconds <- snap.Cost.seconds :: ctx.morsel_seconds
+  incr ctx.morsels
 
 (* ------------------------------------------------------------------ *)
 (* Span accounting                                                     *)
@@ -332,17 +332,13 @@ and rewrite ctx plan =
       (* The join's unit span brackets the whole fused unit, build subtree
          included; units nested under it must not attach their own spans
          or their deltas would be counted twice.  The inner ctx shares the
-         meter and pool but drops the recorder; its morsel timings are
-         copied back even if a nested guard fires. *)
+         meter, pool and morsel counter but drops the recorder. *)
       let inner = { ctx with obs = None } in
       let res =
-        Fun.protect
-          ~finally:(fun () -> ctx.morsel_seconds <- inner.morsel_seconds)
-          (fun () ->
-            with_unit_span ctx ~label:(Plan.node_label plan) (fun () ->
-                run_fused_hash_join inner ~build
-                  ~probe_leaf:(Option.get (scan_leaf probe))
-                  ~build_key ~probe_key))
+        with_unit_span ctx ~label:(Plan.node_label plan) (fun () ->
+            run_fused_hash_join inner ~build
+              ~probe_leaf:(Option.get (scan_leaf probe))
+              ~build_key ~probe_key)
       in
       materialized ~name:"hash_join" res
         ~refs:(match scan_leaf probe with Some (t, p, _) -> [ (t, p) ] | None -> [])
@@ -390,47 +386,10 @@ and run_plan ctx plan =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type report = {
-  morsels : int;           (** parallel morsels executed *)
-  morsel_seconds : float array;
-      (** per-morsel simulated seconds, in absorb (morsel-unit) order *)
-  serial_seconds : float;  (** simulated seconds charged outside morsels *)
-  total_seconds : float;   (** the meter's movement across the whole run *)
-}
-
-let run_report ?obs (t : t) catalog meter plan =
-  let ctx = { pool = t.pool; catalog; meter; obs; morsel_seconds = [] } in
-  let before = (Cost.snapshot meter).Cost.seconds in
+let run_counted ?obs (t : t) catalog meter plan =
+  let ctx = { pool = t.pool; catalog; meter; obs; morsels = ref 0 } in
   let residual = rewrite ctx plan in
   let res = Executor.run ?obs ~mode:Materialized catalog meter residual in
-  let total = (Cost.snapshot meter).Cost.seconds -. before in
-  let morsel_seconds = Array.of_list (List.rev ctx.morsel_seconds) in
-  let parallel = Array.fold_left ( +. ) 0.0 morsel_seconds in
-  ( res,
-    {
-      morsels = Array.length morsel_seconds;
-      morsel_seconds;
-      serial_seconds = Float.max 0.0 (total -. parallel);
-      total_seconds = total;
-    } )
+  (res, !(ctx.morsels))
 
-let run ?obs t catalog meter plan = fst (run_report ?obs t catalog meter plan)
-
-(* Deterministic simulated makespan: morsels are assigned greedily, in
-   morsel order, to the least-loaded of [domains] simulated domains; the
-   non-morsel remainder is serial.  This is the repo's ground-truth
-   "execution time" model applied to the parallel schedule — stable on
-   any host, including single-core CI. *)
-let makespan ~domains report =
-  if domains < 1 then invalid_arg "Parallel.makespan: domains must be >= 1";
-  let loads = Array.make domains 0.0 in
-  Array.iter
-    (fun s ->
-      let best = ref 0 in
-      for d = 1 to domains - 1 do
-        if loads.(d) < loads.(!best) then best := d
-      done;
-      loads.(!best) <- loads.(!best) +. s)
-    report.morsel_seconds;
-  let busiest = Array.fold_left Float.max 0.0 loads in
-  report.serial_seconds +. busiest
+let run ?obs t catalog meter plan = fst (run_counted ?obs t catalog meter plan)

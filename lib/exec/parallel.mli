@@ -41,28 +41,6 @@ val run :
     engine, so [Recorder.sum_self] over the roots reconciles with the
     meter. *)
 
-type report = {
-  morsels : int;           (** parallel morsels executed *)
-  morsel_seconds : float array;
-      (** per-morsel simulated seconds, in morsel-unit order *)
-  serial_seconds : float;  (** simulated seconds charged outside morsels *)
-  total_seconds : float;   (** the meter's movement across the whole run *)
-}
-
-val run_report :
-  ?obs:Rq_obs.Recorder.t ->
-  t ->
-  Catalog.t ->
-  Cost.t ->
-  Plan.t ->
-  Exec_common.result * report
-(** {!run} plus the morsel-level timing decomposition the throughput and
-    exec benches feed into {!makespan}. *)
-
-val makespan : domains:int -> report -> float
-(** Deterministic simulated wall-clock of the run on [domains] domains:
-    morsels are greedily assigned, in order, to the least-loaded simulated
-    domain; the serial remainder is added whole.  [makespan ~domains:1]
-    equals [total_seconds] (up to float association), so
-    [makespan ~domains:1 r /. makespan ~domains:n r] is the speedup the
-    bench gates report.  Stable on any host, including single-core CI. *)
+val run_counted :
+  ?obs:Rq_obs.Recorder.t -> t -> Catalog.t -> Cost.t -> Plan.t -> Exec_common.result * int
+(** {!run} plus the number of parallel morsels it executed. *)

@@ -12,16 +12,6 @@ open Rq_storage
 open Rq_exec
 open Rq_optimizer
 
-exception Bench_error of { context : string; message : string }
-(** A bench run hit a non-recoverable input/configuration failure —
-    e.g. a pool query the optimizer rejects, or statistics missing the
-    synopsis a bench needs.  [context] names the failing query or bench
-    stage so the CLI can report it and exit nonzero without a backtrace
-    (satisfying "a failed bench run reports the query label"). *)
-
-val bench_error : context:string -> ('a, unit, string, 'b) format4 -> 'a
-(** [bench_error ~context fmt ...] raises {!Bench_error}. *)
-
 type cell = {
   times : float array;          (** simulated seconds, one per sample draw *)
   plans : (string * int) list;  (** distinct chosen plans with pick counts *)
@@ -66,20 +56,6 @@ val canonical_rows : Executor.result -> string array
     floats at 6 significant digits, rows sorted — two plans for the same
     query yield equal arrays.  For counterexample printing; equality
     checks should use {!results_equal} (tolerant where this rounds). *)
-
-type digest = { d_count : int; d_sum : int64; d_xor : int64 }
-(** Order-insensitive multiset digest of a result's rows (FNV-1a row hashes
-    folded through a commutative count / sum / xor triple). *)
-
-val empty_digest : digest
-
-val result_digest : Executor.result -> digest
-(** Streaming: consumes the result in one pass and keeps nothing live, so
-    two engines' outputs can be compared at scale without ever holding both
-    row sets in memory.  Uses {!canonical_rows}' rendering, so equal row
-    multisets digest equally regardless of row order. *)
-
-val digests_equal : digest -> digest -> bool
 
 val snapshots_equal : Cost.snapshot -> Cost.snapshot -> bool
 (** Field-by-field cost-counter equality (float fields under a 1e-9

@@ -27,7 +27,7 @@ let children = function
   | Plan.Aggregate { input; _ } -> [ input ]
   | Plan.Guard { input; _ } -> [ input ]
 
-let analyze catalog ?constants ?scale ?obs ?mode estimator plan =
+let analyze catalog ?constants ?scale ?obs estimator plan =
   let recorder =
     match obs with Some r -> r | None -> Rq_obs.Recorder.create ()
   in
@@ -36,7 +36,7 @@ let analyze catalog ?constants ?scale ?obs ?mode estimator plan =
      node's actual row count and cost delta, so nothing re-runs per node and
      the report never aborts mid-analysis.  Whether each guard *would* fire
      is derived from the q-error below. *)
-  ignore (Executor.run ~obs:recorder ?mode catalog meter (Plan.strip_guards plan));
+  ignore (Executor.run ~obs:recorder catalog meter (Plan.strip_guards plan));
   let root =
     match List.rev (Rq_obs.Recorder.roots recorder) with
     | span :: _ -> span

@@ -30,13 +30,10 @@ val analyze :
   ?constants:Cost.constants ->
   ?scale:float ->
   ?obs:Rq_obs.Recorder.t ->
-  ?mode:Executor.mode ->
   Cardinality.t ->
   Plan.t ->
   report
-(** One instrumented execution of [Plan.strip_guards plan] under [mode]
-    (default streaming; both engines produce the same span tree shape on a
-    guard-free full drain).  When [?obs] is supplied the execution's spans
+(** One instrumented streaming execution of [Plan.strip_guards plan].  When [?obs] is supplied the execution's spans
     and events are also appended to it (for [--trace]/[--metrics-json]
     output sharing one recorder). *)
 

@@ -135,32 +135,3 @@ let find_or_optimize ?obs ?budget t opt ~fingerprint query =
       optimize_and_insert Miss
 
 let mem t opt ~fingerprint = Rq_storage.Lru.mem t.lru (compose_key opt ~fingerprint)
-
-(* ------------------------------------------------------------------ *)
-(* Sharding                                                            *)
-(* ------------------------------------------------------------------ *)
-
-module Sharded = struct
-  type shard = t
-  type nonrec t = { shards : shard array }
-
-  let create ?(capacity = 256) ~shards () =
-    if shards <= 0 then invalid_arg "Plan_cache.Sharded.create: shards must be positive";
-    if capacity <= 0 then
-      invalid_arg "Plan_cache.Sharded.create: capacity must be positive";
-    let per_shard = max 1 (capacity / shards) in
-    { shards = Array.init shards (fun _ -> create ~capacity:per_shard ()) }
-
-  let shards t = Array.length t.shards
-
-  let shard t i =
-    let n = Array.length t.shards in
-    t.shards.(((i mod n) + n) mod n)
-
-  let length t = Array.fold_left (fun acc s -> acc + length s) 0 t.shards
-
-  let stats t =
-    Array.fold_left (fun acc s -> add_stats acc (stats s)) zero_stats t.shards
-
-  let clear t = Array.iter clear t.shards
-end

@@ -80,32 +80,3 @@ val hit_rate : stats -> float
 (** [hits / lookups], 0 when no lookups. *)
 
 val stats_to_json : stats -> Rq_obs.Json.t
-
-(** {2 Per-domain sharding}
-
-    The multicore replay driver gives each domain its own shard
-    (shared-nothing: no locks on the lookup path, no torn counters); the
-    merged statistics are the per-shard sums.  Shard [i] serves domain
-    [i mod shards]. *)
-
-module Sharded : sig
-  type shard = t
-  type t
-
-  val create : ?capacity:int -> shards:int -> unit -> t
-  (** [capacity] (default 256) is the total budget, split evenly with a
-      floor of one entry per shard.  Raises [Invalid_argument] unless both
-      are positive. *)
-
-  val shards : t -> int
-
-  val shard : t -> int -> shard
-  (** The shard owning domain [i] ([i mod shards]); use the plain
-      single-shard API on it from that domain only. *)
-
-  val length : t -> int
-  val stats : t -> stats
-  (** Summed over shards; reconciles exactly with per-shard sums. *)
-
-  val clear : t -> unit
-end

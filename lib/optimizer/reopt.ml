@@ -284,10 +284,10 @@ let execute_plan ?(threshold = 4.0) ?(max_reopts = 2) ?obs ?mode opt query start
     reoptimizations;
   }
 
-let execute ?threshold ?max_reopts ?obs ?mode opt query =
+let execute ?threshold ?max_reopts ?obs opt query =
   match Optimizer.optimize opt query with
   | Error _ as e -> e
-  | Ok d -> Ok (execute_plan ?threshold ?max_reopts ?obs ?mode opt query d.Optimizer.plan)
+  | Ok d -> Ok (execute_plan ?threshold ?max_reopts ?obs opt query d.Optimizer.plan)
 
 let render_events events =
   match events with

@@ -66,7 +66,6 @@ val execute_plan :
 
 val execute :
   ?threshold:float -> ?max_reopts:int -> ?obs:Rq_obs.Recorder.t ->
-  ?mode:Executor.mode ->
   Optimizer.t -> Logical.t ->
   (outcome, string) result
 (** [execute_plan] starting from the optimizer's own choice.  [Error] only

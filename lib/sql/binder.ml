@@ -33,9 +33,15 @@ let resolve_column catalog tables { Ast.table; name } =
       | [] -> fail "column %s not found in any FROM table" name
       | _ -> fail "column %s is ambiguous" name)
 
+(* A string shaped like a date is a date; one naming a day that does not
+   exist is an error, not a string.  (DATE literals are checked by the
+   parser.) *)
 let date_value s =
   match Parser.parse_date_string s with
-  | Some (year, month, day) -> Some (Value.date_of_ymd ~year ~month ~day)
+  | Some (year, month, day) -> (
+      match Value.checked_date ~year ~month ~day with
+      | Ok v -> Some v
+      | Error msg -> fail "invalid date '%s': %s" s msg)
   | None -> None
 
 (* Convert an AST expression to an executable expression over qualified

@@ -127,7 +127,12 @@ and parse_primary state =
       match next state with
       | Token.String_lit s -> (
           match parse_date_string s with
-          | Some (y, m, d) -> Ast.Date_lit (y, m, d)
+          | Some (y, m, d) -> (
+              match Rq_storage.Value.checked_date ~year:y ~month:m ~day:d with
+              | Ok _ -> Ast.Date_lit (y, m, d)
+              | Error msg ->
+                  state.pos <- state.pos - 1;
+                  fail state (Printf.sprintf "invalid date literal '%s': %s" s msg))
           | None ->
               state.pos <- state.pos - 1;
               fail state "malformed date literal")

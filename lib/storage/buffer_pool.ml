@@ -4,9 +4,11 @@
    page-denominated capacity divides exactly).  Pinned chunks are never
    eviction candidates; a chunk becomes evictable when its pin count drops
    to zero, at which point it enters the LRU recency list ({!Lru}, the same
-   cache that backs the evidence/bitmap caches and the plan-cache shards).
-   Inserting a newly-loaded chunk while the pool is at capacity evicts the
-   least-recently-unpinned resident chunk.
+   cache that backs the evidence/bitmap caches and the plan cache).
+   Faulting a chunk in while the pool is at capacity evicts the
+   least-recently-unpinned resident chunk first, so pinned and unpinned
+   chunks together stay within capacity (pinned chunks alone may exceed
+   it: they are never evicted).
 
    All operations are mutex-protected: the morsel-parallel executor pins
    chunks from several domains at once.  Hit/miss/eviction counters are
@@ -85,6 +87,8 @@ let pin ?(seq = false) pool ~key ~load =
               hit e
           | None ->
               pool.misses <- pool.misses + 1;
+              if Hashtbl.length pool.resident >= pool.capacity_chunks then
+                Lru.evict_lru pool.lru;
               Hashtbl.replace pool.resident key { chunk; pins = 1; seq };
               chunk)
 

@@ -1,9 +1,11 @@
 (** A chunk-granular buffer pool with pinning and LRU eviction (reusing
     {!Lru}).  Every chunk access in {!Relation} routes through the
     process-wide {!global} pool: a pin either hits the residency table or
-    faults the chunk in via the caller's [load]; an unpin returns the chunk
-    to the LRU recency list, where an insert at capacity evicts the
-    least-recently-unpinned chunk.  Pinned chunks are never evicted.
+    faults the chunk in via the caller's [load], first evicting the
+    least-recently-unpinned chunk when the pool is at capacity; an unpin
+    returns the chunk to the LRU recency list.  Pinned chunks are never
+    evicted, so residency exceeds capacity only when more chunks than that
+    are pinned at once.
 
     All operations are mutex-protected (the morsel-parallel executor pins
     from several domains).  Hit/miss/eviction counters are therefore

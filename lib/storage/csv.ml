@@ -149,9 +149,9 @@ let parse_date s =
   match String.split_on_char '-' s with
   | [ y; m; d ] -> (
       match (int_of_string_opt y, int_of_string_opt m, int_of_string_opt d) with
-      | Some year, Some month, Some day -> Some (Value.date_of_ymd ~year ~month ~day)
-      | _ -> None)
-  | _ -> None
+      | Some year, Some month, Some day -> Value.checked_date ~year ~month ~day
+      | _ -> Error "not a YYYY-MM-DD date")
+  | _ -> Error "not a YYYY-MM-DD date"
 
 let tuple_of_fields schema fields =
   let columns = Schema.columns schema in
@@ -181,9 +181,8 @@ let tuple_of_fields schema fields =
                 | _ -> Error (Printf.sprintf "column %s: %S is not a boolean" name field))
             | Value.T_date -> (
                 match parse_date field with
-                | Some d -> Ok d
-                | None ->
-                    Error (Printf.sprintf "column %s: %S is not a YYYY-MM-DD date" name field))
+                | Ok d -> Ok d
+                | Error msg -> Error (Printf.sprintf "column %s: %S: %s" name field msg))
             | Value.T_string -> Ok (Value.String field))
         columns fields
     in

@@ -2,7 +2,7 @@
     doubly-linked recency list (find/insert/evict all O(1), no victim
     scan), least-recently-used eviction at capacity, hit/miss/eviction
     counters, and an eviction callback for trace events.  Backs the
-    evidence/bitmap caches and every {!Rq_optimizer.Plan_cache} shard. *)
+    evidence/bitmap caches, the buffer pool and {!Rq_optimizer.Plan_cache}. *)
 
 type 'a t
 
@@ -38,6 +38,10 @@ val remove : 'a t -> string -> unit
 (** Drop the entry if present.  A deliberate removal (e.g. a
     version-invalidated plan), not a capacity eviction: the eviction
     counter is untouched and [on_evict] does not fire. *)
+
+val evict_lru : 'a t -> unit
+(** Evict the least-recently-used entry (counting it and firing
+    [on_evict]); a no-op on an empty cache. *)
 
 val mem : 'a t -> string -> bool
 val clear : 'a t -> unit

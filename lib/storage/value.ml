@@ -64,6 +64,20 @@ let date_of_ymd ~year ~month ~day =
   let doe = (yoe * 365) + (yoe / 4) - (yoe / 100) + doy in
   Date ((era * 146097) + doe - 719468)
 
+let days_in_month ~year ~month =
+  match month with
+  | 2 -> if (year mod 4 = 0 && year mod 100 <> 0) || year mod 400 = 0 then 29 else 28
+  | 4 | 6 | 9 | 11 -> 30
+  | _ -> 31
+
+let checked_date ~year ~month ~day =
+  if month < 1 || month > 12 then Error (Printf.sprintf "month %d is not in 1..12" month)
+  else
+    let last = days_in_month ~year ~month in
+    if day < 1 || day > last then
+      Error (Printf.sprintf "day %d is not in 1..%d for %04d-%02d" day last year month)
+    else Ok (date_of_ymd ~year ~month ~day)
+
 let ymd_of_date = function
   | Date z ->
       let z = z + 719468 in

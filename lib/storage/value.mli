@@ -34,7 +34,14 @@ val add_days : t -> int -> t
 (** Shift a [Date]; raises [Invalid_argument] otherwise. *)
 
 val date_of_ymd : year:int -> month:int -> day:int -> t
-(** Civil date -> [Date] (proleptic Gregorian; Howard Hinnant's algorithm). *)
+(** Civil date -> [Date] (proleptic Gregorian; Howard Hinnant's algorithm).
+    Out-of-range months and days roll over silently; use {!checked_date}
+    for user input. *)
+
+val checked_date : year:int -> month:int -> day:int -> (t, string) result
+(** {!date_of_ymd} for a date that exists: month in 1..12 and day in
+    1..days-in-month (February has 29 days in Gregorian leap years).
+    [Error] names the offending field. *)
 
 val ymd_of_date : t -> int * int * int
 

@@ -3,8 +3,8 @@
    of the parallel engine with the serial materialized engine — result
    tuples and every cost counter, at every pool size — the parallel
    guard's mid-flight firing with an exactly-resumable prefix, span/meter
-   reconciliation under a recorder, and a multi-domain stress of the
-   sharded plan cache and the evidence-kernel memos. *)
+   reconciliation under a recorder, and a multi-domain stress of
+   per-domain plan caches and the evidence-kernel memos. *)
 
 open Rq_storage
 open Rq_exec
@@ -181,26 +181,19 @@ let test_parallel_matches_serial () =
 
 let test_morsels_account_for_every_page () =
   let catalog = fixture () in
+  let lineitems = Catalog.find_table catalog "lineitems" in
   let par = Parallel.create ~domains:4 () in
   Fun.protect
     ~finally:(fun () -> Parallel.shutdown par)
     (fun () ->
       let meter = Cost.create () in
-      let _, report = Parallel.run_report par catalog meter (scan "lineitems") in
-      check_bool "several morsels" true (report.Parallel.morsels > 1);
-      check_int "one timing per morsel" report.Parallel.morsels
-        (Array.length report.Parallel.morsel_seconds);
-      let parts =
-        Array.fold_left ( +. ) report.Parallel.serial_seconds report.Parallel.morsel_seconds
-      in
-      check_float "morsel + serial seconds = meter movement" report.Parallel.total_seconds
-        parts;
-      (* The greedy schedule is monotone: more domains never slow it down,
-         and one domain is exactly the serial total. *)
-      check_float "makespan at 1 = total" report.Parallel.total_seconds
-        (Parallel.makespan ~domains:1 report);
-      check_bool "4 domains beat 1" true
-        (Parallel.makespan ~domains:4 report < Parallel.makespan ~domains:1 report))
+      let _, morsels = Parallel.run_counted par catalog meter (scan "lineitems") in
+      check_bool "several morsels" true (morsels > 1);
+      (* The morsels' private meters telescope into exactly one full scan. *)
+      let snap = Cost.snapshot meter in
+      check_int "every page read once" (Relation.page_count lineitems)
+        (snap.Cost.seq_pages + snap.Cost.pages_skipped);
+      check_int "every row charged once" (Relation.row_count lineitems) snap.Cost.cpu_tuples)
 
 (* ------------------------------------------------------------------ *)
 (* The parallel guard                                                  *)
@@ -273,7 +266,7 @@ let test_parallel_obs_reconciles () =
         [ ("scan", scan "lineitems"); ("join", join); ("limit", Plan.Limit (join, 500)) ])
 
 (* ------------------------------------------------------------------ *)
-(* Sharded plan cache + evidence memos under domains                   *)
+(* Per-domain plan caches + evidence memos under domains               *)
 (* ------------------------------------------------------------------ *)
 
 let stress_query ~threshold =
@@ -287,10 +280,8 @@ let fingerprint_of opt q =
   Rq_sql.Fingerprint.to_key
     (Rq_sql.Fingerprint.of_logical ~estimator:(Optimizer.estimator opt).Cardinality.name q)
 
-let test_sharded_cache_stress () =
+let test_per_domain_cache_stress () =
   let domains = 4 and ops_per_domain = 40 in
-  let sharded = Plan_cache.Sharded.create ~capacity:(2 * domains) ~shards:domains () in
-  check_int "one shard per domain, same index modulo" (Plan_cache.Sharded.length sharded) 0;
   (* Serial reference for the evidence kernel: the bitset count every
      domain's private Pred_index must reproduce. *)
   let probe_pred = Pred.le (Expr.col "l_qty") (Expr.int 25) in
@@ -298,18 +289,18 @@ let test_sharded_cache_stress () =
     let rel = Catalog.find_table (fixture ~lineitems:4000 ()) "lineitems" in
     Relation.filter_count rel (Pred.compile (Relation.schema rel) probe_pred)
   in
-  let worker d () =
+  let worker () =
     (* Each domain owns a full world rebuilt from the same seed, its own
-       statistics maintenance, and its own cache shard. *)
+       statistics maintenance, and its own plan cache. *)
     let catalog = fixture ~lineitems:4000 () in
     let m = Rq_stats.Maintenance.create (Rq_math.Rng.create 91) catalog in
-    let shard = Plan_cache.Sharded.shard sharded d in
+    let cache = Plan_cache.create ~capacity:2 () in
     let ops = ref 0 in
     for k = 0 to ops_per_domain - 1 do
       if k mod 13 = 12 then Rq_stats.Maintenance.refresh m;
       let opt = Optimizer.robust (Rq_stats.Maintenance.stats m) in
       let q = stress_query ~threshold:(5 + (k mod 6)) in
-      match Plan_cache.find_or_optimize shard opt ~fingerprint:(fingerprint_of opt q) q with
+      match Plan_cache.find_or_optimize cache opt ~fingerprint:(fingerprint_of opt q) q with
       | Ok _ -> incr ops
       | Error e -> failwith e
     done;
@@ -317,38 +308,33 @@ let test_sharded_cache_stress () =
     let idx = Rq_stats.Pred_index.create rel in
     let count = Rq_stats.Pred_index.count idx probe_pred in
     let again = Rq_stats.Pred_index.count idx probe_pred in
-    (!ops, count, again)
+    (!ops, count, again, Plan_cache.stats cache, Plan_cache.length cache)
   in
-  let handles = Array.init domains (fun d -> Domain.spawn (worker d)) in
+  let handles = Array.init domains (fun _ -> Domain.spawn worker) in
   let per_domain = Array.map Domain.join handles in
-  let total_ops = Array.fold_left (fun acc (o, _, _) -> acc + o) 0 per_domain in
+  let total_ops = Array.fold_left (fun acc (o, _, _, _, _) -> acc + o) 0 per_domain in
   check_int "every lookup answered" (domains * ops_per_domain) total_ops;
   Array.iteri
-    (fun d (_, count, again) ->
+    (fun d (_, count, again, stats, length) ->
       check_int (Printf.sprintf "domain %d kernel count = serial scan" d) expected_count count;
-      check_int (Printf.sprintf "domain %d cached re-ask" d) expected_count again)
+      check_int (Printf.sprintf "domain %d cached re-ask" d) expected_count again;
+      check_int
+        (Printf.sprintf "domain %d: hits + misses + invalidations = lookups" d)
+        ops_per_domain (Plan_cache.lookups stats);
+      check_bool (Printf.sprintf "domain %d populated its cache" d) true (length > 0))
     per_domain;
-  (* Merged shard counters must account for every lookup, and the merged
-     view must be exactly the per-shard sum. *)
-  let merged = Plan_cache.Sharded.stats sharded in
-  check_int "hits + misses + invalidations = lookups" (domains * ops_per_domain)
-    (Plan_cache.lookups merged);
-  let manual =
-    Array.fold_left
-      (fun acc shard -> Plan_cache.add_stats acc (Plan_cache.stats shard))
-      Plan_cache.zero_stats
-      (Array.init domains (Plan_cache.Sharded.shard sharded))
+  (* Identical worlds replay identically: every domain's cache counters
+     match the first one's. *)
+  let _, _, _, first, _ = per_domain.(0) in
+  Array.iter
+    (fun (_, _, _, stats, _) ->
+      check_bool "same counters on every domain" true (stats = first))
+    per_domain;
+  let summed =
+    Array.fold_left (fun acc (_, _, _, s, _) -> Plan_cache.add_stats acc s) Plan_cache.zero_stats
+      per_domain
   in
-  check_int "merged hits = summed hits" manual.Plan_cache.hits merged.Plan_cache.hits;
-  check_int "merged misses = summed misses" manual.Plan_cache.misses merged.Plan_cache.misses;
-  check_int "merged invalidations = summed"
-    manual.Plan_cache.invalidations merged.Plan_cache.invalidations;
-  check_int "merged evictions = summed" manual.Plan_cache.evictions merged.Plan_cache.evictions;
-  check_bool "identical worlds populated every shard" true
-    (Plan_cache.Sharded.length sharded >= domains);
-  (* Shard routing is total and modular: any domain id lands somewhere. *)
-  ignore (Plan_cache.Sharded.shard sharded (domains + 3));
-  ignore (Plan_cache.Sharded.shard sharded (-1))
+  check_int "summed lookups = total replays" total_ops (Plan_cache.lookups summed)
 
 let () =
   Alcotest.run "rq_parallel"
@@ -381,6 +367,6 @@ let () =
       ( "sharded",
         [
           Alcotest.test_case "cache + kernel memos from N domains" `Quick
-            test_sharded_cache_stress;
+            test_per_domain_cache_stress;
         ] );
     ]

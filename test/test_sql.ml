@@ -270,6 +270,27 @@ let test_binder_date_coercion () =
   | Pred.Cmp (Pred.Eq, _, Expr.Const (Value.Date 10000)) -> ()
   | _ -> Alcotest.failf "expected date coercion, got %s" (Format.asprintf "%a" Pred.pp pred)
 
+(* A date that does not exist is an error at every road into the binder:
+   a DATE literal (rejected by the parser) and a date-shaped string. *)
+let test_binder_date_range () =
+  let catalog = sql_catalog () in
+  let count_where cond = "SELECT COUNT(*) FROM emp WHERE hired < " ^ cond in
+  List.iter
+    (fun cond -> ignore (bind_err catalog (count_where cond)))
+    [ "DATE '1995-13-45'"; "'1995-13-45'"; "DATE '1995-02-29'"; "'1995-02-29'";
+      "DATE '1995-02-30'"; "DATE '1996-02-30'"; "DATE '1995-00-10'"; "DATE '1995-04-31'";
+      "DATE '02/29/95'" ];
+  List.iter
+    (fun cond -> ignore (bind_ok catalog (count_where cond)))
+    [ "DATE '1996-02-29'"; "'1996-02-29'"; "DATE '2000-02-29'"; "DATE '1995-02-28'";
+      "DATE '1995-12-31'" ];
+  check_bool "the message names the bad field" true
+    (let msg = bind_err catalog (count_where "DATE '1995-13-45'") in
+     let needle = "month 13" in
+     let n = String.length needle in
+     let rec has i = i + n <= String.length msg && (String.sub msg i n = needle || has (i + 1)) in
+     has 0)
+
 let test_binder_date_arithmetic () =
   let catalog = sql_catalog () in
   let bound =
@@ -658,6 +679,7 @@ let () =
           Alcotest.test_case "COUNT(expr)" `Quick test_binder_count_expr;
           Alcotest.test_case "hint flows through" `Quick test_binder_hint_flows_through;
           Alcotest.test_case "projection" `Quick test_binder_projection;
+          Alcotest.test_case "dates out of range rejected" `Quick test_binder_date_range;
         ] );
       ( "ddl+loader",
         [

@@ -42,6 +42,20 @@ let test_value_date_known () =
     (1997, 7, 1)
     (Value.ymd_of_date (Value.date_of_ymd ~year:1997 ~month:7 ~day:1))
 
+let test_value_checked_date () =
+  let ok (y, m, d) =
+    check_bool (Printf.sprintf "%04d-%02d-%02d exists" y m d) true
+      (Value.checked_date ~year:y ~month:m ~day:d = Ok (Value.date_of_ymd ~year:y ~month:m ~day:d))
+  in
+  let bad (y, m, d) =
+    check_bool (Printf.sprintf "%04d-%02d-%02d rejected" y m d) true
+      (Result.is_error (Value.checked_date ~year:y ~month:m ~day:d))
+  in
+  List.iter ok [ (1996, 2, 29); (2000, 2, 29); (1995, 2, 28); (1995, 12, 31); (1995, 4, 30) ];
+  List.iter bad
+    [ (1995, 13, 45); (1995, 2, 29); (1900, 2, 29); (1995, 2, 30); (1996, 2, 30); (1995, 0, 1);
+      (1995, 4, 31); (1995, 1, 0) ]
+
 let prop_value_date_roundtrip =
   QCheck.Test.make ~name:"date ymd roundtrip over 400 years" ~count:500
     QCheck.(triple (int_range 1900 2299) (int_range 1 12) (int_range 1 28))
@@ -297,6 +311,12 @@ let test_csv_typed_conversion () =
   | Error e -> Alcotest.fail e);
   check_bool "bad int" true (Result.is_error (Csv.tuple_of_fields schema [ "x"; "1"; "a"; "1997-01-01"; "t" ]));
   check_bool "bad arity" true (Result.is_error (Csv.tuple_of_fields schema [ "1" ]));
+  (* Dates must exist: month 1..12, day 1..days-in-month, leap years included. *)
+  let date_field d = Csv.tuple_of_fields schema [ "1"; "1"; "a"; d; "t" ] in
+  List.iter
+    (fun d -> check_bool ("date " ^ d ^ " rejected") true (Result.is_error (date_field d)))
+    [ "1995-13-45"; "1995-02-29"; "1995-02-30"; "1996-02-30" ];
+  check_bool "leap day 1996-02-29 accepted" true (Result.is_ok (date_field "1996-02-29"));
   (* fields_of_tuple inverts. *)
   match Csv.tuple_of_fields schema [ "7"; "2.5"; "hi"; "1997-07-01"; "true" ] with
   | Ok tuple ->
@@ -433,6 +453,50 @@ let test_buffer_pool_resize_and_reset () =
   check_int "reset zeroes misses" 0 zeroed.misses;
   check_int "reset zeroes evictions" 0 zeroed.evictions;
   Alcotest.(check (float 0.0)) "no traffic -> rate 0" 0.0 (Buffer_pool.hit_rate zeroed)
+
+(* A relation several times larger than the global pool, scanned through
+   [Relation.with_chunk]: residency never exceeds the pool's capacity,
+   chunks fault back in on every sweep, and the data read back is intact.
+   The bounded-memory out-of-core path, at unit-test scale. *)
+let test_buffer_pool_bounds_a_large_scan () =
+  let schema =
+    Schema.create
+      [ { Schema.name = "a"; ty = Value.T_int }; { Schema.name = "b"; ty = Value.T_int } ]
+  in
+  let rows = 6 * Page.rows_per_chunk schema + 17 in
+  let rel =
+    Relation.create ~name:"big" ~schema (Array.init rows (fun i -> [| Value.Int i; Value.Int (2 * i) |]))
+  in
+  let chunks = Relation.chunk_count rel in
+  let saved = Buffer_pool.global_stats () in
+  Fun.protect
+    ~finally:(fun () ->
+      Buffer_pool.configure
+        ~capacity_pages:(saved.Buffer_pool.capacity_chunks * Page.pages_per_chunk))
+    (fun () ->
+      Buffer_pool.configure ~capacity_pages:(2 * Page.pages_per_chunk);
+      Buffer_pool.reset_stats Buffer_pool.global;
+      let capacity = (Buffer_pool.global_stats ()).Buffer_pool.capacity_chunks in
+      check_int "pool holds two chunks" 2 capacity;
+      check_bool "relation outgrows the pool" true (chunks > 2 * capacity);
+      let peak = ref 0 and sum = ref 0 in
+      for _sweep = 1 to 2 do
+        for ci = 0 to chunks - 1 do
+          Relation.with_chunk ~seq:true rel ci (fun chunk ->
+              let resident = (Buffer_pool.global_stats ()).Buffer_pool.resident_chunks in
+              peak := max !peak resident;
+              Chunk.iter
+                (fun _ tup -> match tup.(1) with Value.Int v -> sum := !sum + v | _ -> ())
+                chunk)
+        done
+      done;
+      let s = Buffer_pool.global_stats () in
+      check_bool
+        (Printf.sprintf "resident chunks (peak %d) <= capacity %d" !peak capacity)
+        true (!peak <= capacity);
+      check_bool "the pool missed" true (s.Buffer_pool.misses > 0);
+      check_bool "the second sweep faulted chunks back in" true (s.Buffer_pool.misses > chunks);
+      check_int "every row read back intact, twice" (2 * (rows * (rows - 1))) !sum)
 
 (* Scan resistance: chunks pinned only by sequential scans enter the LRU
    at the cold end, so one big sweep recycles a single slot instead of
@@ -783,7 +847,8 @@ let () =
           Alcotest.test_case "date known values" `Quick test_value_date_known;
           Alcotest.test_case "printing" `Quick test_value_pp;
         ]
-        @ qcheck [ prop_value_date_roundtrip; prop_value_date_add_days_consistent ] );
+        @ qcheck [ prop_value_date_roundtrip; prop_value_date_add_days_consistent ]
+        @ [ Alcotest.test_case "dates out of range rejected" `Quick test_value_checked_date ] );
       ( "schema",
         [
           Alcotest.test_case "basics" `Quick test_schema_basics;
@@ -837,6 +902,8 @@ let () =
           Alcotest.test_case "resize and reset" `Quick test_buffer_pool_resize_and_reset;
           Alcotest.test_case "sequential sweeps don't flush lookup chunks" `Quick
             test_buffer_pool_scan_resistance;
+          Alcotest.test_case "bounds a scan larger than the pool" `Quick
+            test_buffer_pool_bounds_a_large_scan;
         ] );
       ( "builder",
         [

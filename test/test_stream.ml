@@ -206,26 +206,45 @@ let test_family_parity () =
 (* LIMIT early exit                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Two early-exit shapes: LIMIT over a scan, and LIMIT over a hash join
+   whose probe side is the big scan.  The join's build side (orders) is
+   drained either way; the probe stops after the first batch. *)
 let test_limit_early_exit () =
   let catalog = chain_catalog () in
   let lineitems = Catalog.find_table catalog "lineitems" in
-  let plan = Plan.Limit (scan_all "lineitems", 10) in
-  let sres, ssnap = run_mode Executor.Streaming catalog plan in
-  let mres, msnap = run_mode Executor.Materialized catalog plan in
-  (* Same answer... *)
-  check_results "limit-scan" sres mres;
-  check_int "limit honored" 10 (Array.length sres.Executor.tuples);
-  (* ...but the materialized engine paid for the whole table while the
-     streaming engine stopped pulling after the first batch. *)
-  check_int "materialized scans every page" (Relation.page_count lineitems)
-    msnap.Cost.seq_pages;
-  check_bool
-    (Printf.sprintf "streaming charges strictly fewer seq pages (%d < %d)"
-       ssnap.Cost.seq_pages msnap.Cost.seq_pages)
-    true
-    (ssnap.Cost.seq_pages < msnap.Cost.seq_pages);
-  check_bool "streaming charges strictly fewer cpu tuples" true
-    (ssnap.Cost.cpu_tuples < msnap.Cost.cpu_tuples)
+  let orders = Catalog.find_table catalog "orders" in
+  let join =
+    Plan.Hash_join
+      {
+        build = scan_all "orders";
+        probe = scan_all "lineitems";
+        build_key = "orders.o_id";
+        probe_key = "lineitems.l_order";
+      }
+  in
+  List.iter
+    (fun (name, plan, full_pages) ->
+      let sres, ssnap = run_mode Executor.Streaming catalog plan in
+      let mres, msnap = run_mode Executor.Materialized catalog plan in
+      (* Same answer... *)
+      check_results name sres mres;
+      check_int (name ^ ": limit honored") 10 (Array.length sres.Executor.tuples);
+      (* ...but the materialized engine paid for every input page while the
+         streaming engine stopped pulling after the first batch. *)
+      check_int (name ^ ": materialized scans every page") full_pages msnap.Cost.seq_pages;
+      check_bool
+        (Printf.sprintf "%s: streaming charges strictly fewer seq pages (%d < %d)" name
+           ssnap.Cost.seq_pages msnap.Cost.seq_pages)
+        true
+        (ssnap.Cost.seq_pages < msnap.Cost.seq_pages);
+      check_bool (name ^ ": streaming charges strictly fewer cpu tuples") true
+        (ssnap.Cost.cpu_tuples < msnap.Cost.cpu_tuples))
+    [
+      ("limit-scan", Plan.Limit (scan_all "lineitems", 10), Relation.page_count lineitems);
+      ( "limit-join",
+        Plan.Limit (join, 10),
+        Relation.page_count lineitems + Relation.page_count orders );
+    ]
 
 (* A LIMIT larger than the input is a full drain: exact parity again. *)
 let test_limit_full_drain_parity () =
